@@ -25,13 +25,9 @@ Lower layers stay importable for IR-level work:
   api module (``repro.api.profile`` — compile + execute + profile in
   one call; not re-exported here, where the name would shadow the
   submodule).
-
-``compile_program`` and ``run_workload`` are the pre-facade entry
-points; they still work but raise :class:`DeprecationWarning` (see
-docs/API.md for the deprecation policy).
 """
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 from .api import (  # noqa: E402
     CampaignConfig,
@@ -46,8 +42,7 @@ from .api import (  # noqa: E402
     fuzz_campaign,
     run,
 )
-from .core import SignExtConfig, VARIANTS, compile_program  # noqa: E402
-from .harness import run_workload  # noqa: E402
+from .core import SignExtConfig, VARIANTS  # noqa: E402
 
 __all__ = [
     "CampaignConfig",
@@ -62,8 +57,6 @@ __all__ = [
     "__version__",
     "bench",
     "compile",
-    "compile_program",
     "fuzz_campaign",
     "run",
-    "run_workload",
 ]

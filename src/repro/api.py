@@ -17,9 +17,7 @@ file, or J32 source text — whatever is most convenient.
 Everything below this facade (``repro.core``, ``repro.harness``,
 ``repro.driver``) remains importable for IR-level work, but only the
 names exported here are covered by the deprecation policy documented
-in docs/API.md.  The pre-facade entry points ``compile_program`` and
-``run_workload`` still exist as thin aliases that raise
-:class:`DeprecationWarning`.
+in docs/API.md.
 """
 
 from __future__ import annotations
@@ -41,11 +39,7 @@ from .harness import (
     results_to_dict,
     run_suite,
 )
-from .interp import (
-    default_codegen_cache,
-    default_translation_cache,
-    execute,
-)
+from .interp import default_translation_cache, execute
 from .ir.function import Program
 from .machine.costs import CycleReport, count_cycles
 from .profile import ExecutionProfile, artifact_path, build_profile, write_profile
@@ -203,16 +197,8 @@ def run(
                        trace_id=trace_id)
     metrics = (compiled.telemetry.metrics
                if compiled.telemetry is not None else None)
-    run_kwargs: dict = {}
-    if options.layout_profile:
-        from .interp import load_layout_profiles
-
-        run_kwargs["layout_profiles"] = load_layout_profiles(
-            options.layout_profile
-        )
     execution = execute(compiled.program, engine=options.engine,
-                        traits=traits, fuel=options.fuel, metrics=metrics,
-                        **run_kwargs)
+                        traits=traits, fuel=options.fuel, metrics=metrics)
     if execution.observable() != gold.observable():
         raise SoundnessError(
             f"{program.name}: observable behaviour changed "
@@ -363,7 +349,6 @@ def bench(
         )
         stats = dict(active.stats())
         stats.update(default_translation_cache().stats())
-        stats.update(default_codegen_cache().stats())
         return SuiteResult(results=results, driver_stats=stats)
 
     if driver is not None:

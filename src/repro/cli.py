@@ -35,7 +35,7 @@ import sys
 
 from . import api
 from .core import DEFAULT_VARIANT, VARIANTS
-from .core.config import CompileOptions
+from .core.config import DEFAULT_ENGINE, ENGINE_CHOICES, CompileOptions
 from .frontend import compile_source
 from .frontend.errors import SourceError
 from .ir import format_program
@@ -67,13 +67,10 @@ def _common_args(parser: argparse.ArgumentParser, *,
 
 
 def _engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", default=None,
-                        choices=["closure", "reference", "codegen", "both"],
+    parser.add_argument("--engine", default=None, choices=ENGINE_CHOICES,
                         help="execution engine: pre-translated closure "
                              "code (default), the reference interpreter, "
-                             "generated Python code with superinstruction "
-                             "fusion, or all three with a parity "
-                             "cross-check")
+                             "or both with a parity cross-check")
 
 
 def _driver_args(parser: argparse.ArgumentParser) -> None:
@@ -141,22 +138,7 @@ def cmd_ir(args: argparse.Namespace) -> int:
     else:
         source = _load(args.file)
     compiled = api.compile(source, options)
-    if getattr(args, "emit_python", False):
-        from .interp import generate_source, load_layout_profiles
-        from .interp.layout import program_layouts
-
-        layouts: dict = {}
-        if options.layout_profile:
-            layouts = program_layouts(
-                compiled.program,
-                load_layout_profiles(options.layout_profile),
-            )
-        traits = options.traits()
-        for name, func in compiled.program.functions.items():
-            print(generate_source(func, ideal=False, traits=traits,
-                                  layout=layouts.get(name)))
-    else:
-        print(format_program(compiled.program))
+    print(format_program(compiled.program))
     _finish_telemetry(args, compiled.telemetry)
     return 0
 
@@ -354,7 +336,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         inject_bug=args.inject_bug,
         replay_only=args.replay,
         max_divergences=args.max_divergences,
-        engine=args.engine or "closure",
+        engine=args.engine or DEFAULT_ENGINE,
         profile_dir=args.profile_dir,
     )
     telemetry = (Telemetry(label="fuzz-campaign")
@@ -607,7 +589,7 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         ops=tuple(args.ops),
         variant=args.variant,
         machine=args.machine,
-        engine=args.engine or "closure",
+        engine=args.engine or DEFAULT_ENGINE,
         fuel=args.fuel,
         seed=args.seed,
         verify=not args.no_verify,
@@ -724,24 +706,11 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("file")
     _common_args(run_parser, telemetry=True)
     _engine_arg(run_parser)
-    run_parser.add_argument("--layout-profile", default=None, metavar="PATH",
-                            help="*.profile.json artifact (or directory of "
-                                 "them) driving profile-guided block layout "
-                                 "in the translated engines")
     run_parser.set_defaults(fn=cmd_run)
 
-    ir_parser = subparsers.add_parser(
-        "ir", help="dump optimized IR (or generated Python)"
-    )
+    ir_parser = subparsers.add_parser("ir", help="dump optimized IR")
     ir_parser.add_argument("file", help="a .j32 file or a workload name")
     _common_args(ir_parser, telemetry=True)
-    ir_parser.add_argument("--emit-python", action="store_true",
-                           help="dump the codegen tier's generated Python "
-                                "source (block-order + fusion annotations) "
-                                "instead of the IR")
-    ir_parser.add_argument("--layout-profile", default=None, metavar="PATH",
-                           help="*.profile.json artifact (or directory) "
-                                "whose edge counts order the emitted blocks")
     ir_parser.set_defaults(fn=cmd_ir)
 
     compile_parser = subparsers.add_parser(
@@ -886,9 +855,8 @@ def main(argv: list[str] | None = None) -> int:
                              metavar="NAME",
                              help="workloads in the grid (default: "
                                   "fourier huffman)")
-    perf_record.add_argument("--engines", nargs="+", default=["closure"],
-                             choices=["closure", "reference", "codegen",
-                                      "both"],
+    perf_record.add_argument("--engines", nargs="+",
+                             default=[DEFAULT_ENGINE], choices=ENGINE_CHOICES,
                              help="execution engines to measure")
     perf_record.add_argument("--variants", nargs="+", default=None,
                              choices=sorted(VARIANTS), metavar="NAME",

@@ -2,8 +2,7 @@
 
 Entry point: :func:`compile_ir` with a :class:`SignExtConfig` (pick
 one from :data:`VARIANTS` to reproduce a table row), or the
-:mod:`repro.api` facade one level up.  :func:`compile_program` is the
-deprecated historical name.
+:mod:`repro.api` facade one level up.
 """
 
 from .analyze import Eliminator
@@ -27,7 +26,7 @@ from .insertion import (
 )
 from .ordering import is_candidate_extend, order_candidates
 from .pde_insertion import run_pde_insertion
-from .pipeline import CompileResult, compile_ir, compile_program
+from .pipeline import CompileResult, compile_ir
 
 __all__ = [
     "Algorithm",
@@ -41,7 +40,6 @@ __all__ = [
     "SignExtConfig",
     "VARIANTS",
     "compile_ir",
-    "compile_program",
     "convert_function",
     "convert_program",
     "function_has_loop",

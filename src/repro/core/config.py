@@ -90,14 +90,22 @@ REFERENCE_VARIANTS = frozenset({"gen use", "all, using PDE"})
 #: The paper's headline configuration; the default everywhere.
 DEFAULT_VARIANT = "new algorithm (all)"
 
+#: Engine used when nothing is specified anywhere in the stack.
+DEFAULT_ENGINE = "closure"
+
+#: Every value accepted by ``--engine`` / ``CompileOptions.engine``:
+#: the two engines of :mod:`repro.interp.engine`, plus ``"both"``,
+#: which runs both and asserts parity.
+ENGINE_CHOICES = ("closure", "reference", "both")
+
 
 @dataclass(frozen=True)
 class CompileOptions:
     """Every knob a driver-level entry point accepts, in one object.
 
     This replaces the keyword plumbing that used to be re-invented per
-    call site (``profiles=``/``clone=``/``telemetry=`` on
-    ``compile_program``, ``collect_telemetry=`` on the harness, and one
+    call site (``profiles=``/``clone=``/``telemetry=`` on the pre-1.1
+    compile entry point, ``collect_telemetry=`` on the harness, and one
     argparse wiring per CLI subcommand).  :class:`SignExtConfig` stays
     the *pipeline* configuration — what code gets generated;
     ``CompileOptions`` is the *invocation* configuration — how the
@@ -128,29 +136,22 @@ class CompileOptions:
     #: caller owns the program outright and wants it consumed in place)
     clone: bool = True
     #: execution engine for every interpreter run the entry point makes:
-    #: ``"closure"`` (translated threaded code), ``"codegen"``
-    #: (generated Python source with superinstruction fusion),
-    #: ``"reference"`` (the per-step oracle loop), or ``"both"`` (run
-    #: all three, assert parity).  The literal default tracks
-    #: ``repro.interp.engine.DEFAULT_ENGINE`` (not imported here to
-    #: keep ``repro.core`` import-light).
-    engine: str = "closure"
+    #: ``"closure"`` (translated threaded code), ``"reference"`` (the
+    #: per-step oracle loop), or ``"both"`` (run both, assert parity)
+    engine: str = DEFAULT_ENGINE
     #: directory for execution-profile artifacts (``None`` = don't
     #: profile; the flag gates *all* per-run profile collection, so the
     #: hot loops stay untouched when it is off — see docs/PROFILING.md)
     profile_dir: str | None = None
-    #: a PR-6 ``*.profile.json`` artifact (or a directory of them) whose
-    #: edge counts drive profile-guided block layout in the translated
-    #: engines; ``None`` = source-order emission
-    layout_profile: str | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant!r}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.engine not in ("closure", "reference", "codegen", "both"):
-            raise ValueError(f"unknown engine: {self.engine!r}")
+        if self.engine not in ENGINE_CHOICES:
+            raise ValueError(f"unknown engine: {self.engine!r}; one of: "
+                             + ", ".join(ENGINE_CHOICES))
 
     @classmethod
     def from_cli_args(cls, args) -> "CompileOptions":
@@ -177,8 +178,6 @@ class CompileOptions:
             timeout=getattr(args, "timeout", defaults.timeout),
             engine=getattr(args, "engine", None) or defaults.engine,
             profile_dir=getattr(args, "profile_dir", defaults.profile_dir),
-            layout_profile=getattr(args, "layout_profile",
-                                   defaults.layout_profile),
         )
 
     def traits(self) -> MachineTraits:

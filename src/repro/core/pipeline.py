@@ -11,9 +11,7 @@ compiled under many variant configurations by the harness) and returns
 the compiled program plus timing and per-function statistics.  It is a
 pure function of ``(source, config, profiles)`` — no global state, no
 I/O — which is what lets :mod:`repro.driver` memoize it in a
-content-addressed cache and fan it out over worker processes.  The
-historical name ``compile_program`` remains as a deprecated alias; new
-code should call :func:`repro.api.compile` or ``compile_ir``.
+content-addressed cache and fan it out over worker processes.
 
 Pass ``telemetry=`` a :class:`~repro.telemetry.Telemetry` object to
 additionally record a span per phase and per optimization pass, static
@@ -139,31 +137,6 @@ def compile_ir(
             sum(s.eliminated for s in stats.values())
         )
     return CompileResult(program, config, timing, stats, telemetry)
-
-
-def compile_program(
-    source: Program,
-    config: SignExtConfig,
-    profiles: dict[str, BranchProfile] | None = None,
-    *,
-    clone: bool = True,
-    telemetry: Telemetry | None = None,
-) -> CompileResult:
-    """Deprecated alias of :func:`compile_ir`.
-
-    Prefer the :mod:`repro.api` facade (``repro.api.compile``) or, for
-    IR-level work, :func:`compile_ir`.
-    """
-    import warnings
-
-    warnings.warn(
-        "compile_program() is deprecated; use repro.api.compile() or "
-        "repro.core.compile_ir()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return compile_ir(source, config, profiles, clone=clone,
-                      telemetry=telemetry)
 
 
 def _compile_function(

@@ -31,7 +31,12 @@ import contextlib
 import time
 from dataclasses import dataclass, field, replace
 
-from ..core.config import SignExtConfig, VARIANTS
+from ..core.config import (
+    DEFAULT_ENGINE,
+    ENGINE_CHOICES,
+    SignExtConfig,
+    VARIANTS,
+)
 from ..core.pipeline import compile_ir
 from ..driver import BatchCompiler, CompileJob
 from ..frontend import compile_source
@@ -84,9 +89,8 @@ class CampaignConfig:
     #: seeds generated/compiled per driver batch
     batch_seeds: int = 8
     #: execution engine for every interpreter run; ``"both"`` also
-    #: cross-checks reference/closure/codegen parity (a three-way
-    #: vote) on every compiled cell
-    engine: str = "closure"
+    #: cross-checks reference/closure parity on every compiled cell
+    engine: str = DEFAULT_ENGINE
     #: write an execution-profile artifact of every new witness's gold
     #: run under this directory (divergence triage: the profile shows
     #: which blocks the diverging program actually exercises)
@@ -103,7 +107,7 @@ class CampaignConfig:
             raise ValueError("seeds must be >= 0")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.engine not in ("closure", "reference", "codegen", "both"):
+        if self.engine not in ENGINE_CHOICES:
             raise ValueError(f"unknown engine: {self.engine!r}")
 
     def cell_configs(self) -> list[tuple[str, str, SignExtConfig]]:

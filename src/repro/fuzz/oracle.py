@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..interp import DEFAULT_ENGINE, Interpreter, create_interpreter
+from ..core.config import DEFAULT_ENGINE
+from ..interp import Interpreter, create_interpreter
 from ..interp.memory import FuelExhausted, MemoryFault, Trap
 from ..ir.function import Program
 from ..ir.opcodes import Opcode
@@ -92,7 +93,7 @@ def _observe(program: Program, mode: str, traits: MachineTraits,
              engine: str = DEFAULT_ENGINE) -> tuple[Observation, object | None]:
     """Observation plus the raw :class:`ExecResult` when the run is ok."""
     if engine == "both":  # one execution per observation; parity is
-        engine = "closure"  # checked separately by engine_cross_check
+        engine = DEFAULT_ENGINE  # checked separately by engine_cross_check
     interp = create_interpreter(program, engine=engine, mode=mode,
                                 traits=traits, fuel=fuel)
     try:
@@ -212,35 +213,34 @@ def check_lowering(program: Program, traits: MachineTraits) -> str | None:
 def engine_cross_check(program: Program, *, mode: str = "machine",
                        traits: MachineTraits = IA64,
                        fuel: int = 2_000_000) -> tuple[str, str] | None:
-    """Run all three engines over one program and compare everything.
+    """Run both engines over one program and compare everything.
 
-    A three-way vote: the reference interpreter is the baseline, and
-    both translated engines (closure and codegen) must agree with it.
-    Observable behaviour, trap messages, final heap state, and — when
-    both runs complete — the entire ``ExecResult`` (step counts, site/
-    opcode/extend counts, profiles) must match bit for bit.  Step counts
-    of *failed* runs are deliberately not compared: the translated
-    engines only track fuel at segment granularity on exception paths.
+    The reference interpreter is the baseline and the closure engine
+    must agree with it: observable behaviour, trap messages, final heap
+    state, and — when both runs complete — the entire ``ExecResult``
+    (step counts, site/opcode/extend counts, profiles) must match bit
+    for bit.  Step counts of *failed* runs are deliberately not
+    compared: the closure engine only tracks fuel at segment
+    granularity on exception paths.
     """
     ref_obs, ref_res = _observe(program, mode, traits, fuel,
                                 engine="reference")
-    for engine in ("closure", "codegen"):
-        obs, res = _observe(program, mode, traits, fuel, engine=engine)
-        if obs.observable() != ref_obs.observable():
-            return (KIND_ENGINE,
-                    f"{engine} engine finished {obs.observable()!r} "
-                    f"but reference finished {ref_obs.observable()!r}")
-        if obs.heap != ref_obs.heap:
-            return (KIND_ENGINE,
-                    f"final heap differs between {engine} and reference: "
-                    + _heap_diff(ref_obs.heap, obs.heap))
-        if res is not None and ref_res is not None and res != ref_res:
-            return (KIND_ENGINE,
-                    "engines agree on observables but ExecResult differs "
-                    f"({engine} steps={res.steps} "
-                    f"extends={res.extend_counts} vs reference "
-                    f"steps={ref_res.steps} "
-                    f"extends={ref_res.extend_counts})")
+    obs, res = _observe(program, mode, traits, fuel, engine="closure")
+    if obs.observable() != ref_obs.observable():
+        return (KIND_ENGINE,
+                f"closure engine finished {obs.observable()!r} "
+                f"but reference finished {ref_obs.observable()!r}")
+    if obs.heap != ref_obs.heap:
+        return (KIND_ENGINE,
+                "final heap differs between closure and reference: "
+                + _heap_diff(ref_obs.heap, obs.heap))
+    if res is not None and ref_res is not None and res != ref_res:
+        return (KIND_ENGINE,
+                "engines agree on observables but ExecResult differs "
+                f"(closure steps={res.steps} "
+                f"extends={res.extend_counts} vs reference "
+                f"steps={ref_res.steps} "
+                f"extends={ref_res.extend_counts})")
     return None
 
 

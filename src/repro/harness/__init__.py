@@ -9,7 +9,6 @@ from .runner import (
     WorkloadResults,
     measure_workload,
     run_suite,
-    run_workload,
 )
 from .tables import ROW_ORDER, format_dynamic_count_table, format_timing_table
 
@@ -29,6 +28,5 @@ __all__ = [
     "measure_workload",
     "results_to_dict",
     "run_suite",
-    "run_workload",
     "strip_volatile",
 ]

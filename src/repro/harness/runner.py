@@ -16,15 +16,14 @@ For every (workload, variant) cell the runner:
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..core import VARIANTS
-from ..core.config import SignExtConfig
+from ..core.config import DEFAULT_ENGINE, SignExtConfig
 from ..driver import BatchCompiler, CompileJob, fingerprint_program
 from ..driver.fingerprint import fingerprint_config
-from ..interp import DEFAULT_ENGINE, execute
+from ..interp import execute
 from ..interp.profiler import collect_branch_profiles
 from ..machine.costs import CycleReport, count_cycles
 from ..machine.model import IA64, MachineTraits
@@ -251,26 +250,3 @@ def run_suite(
                          repeat_index=repeat_index, profile_dir=profile_dir)
         for w in workloads
     ]
-
-
-def run_workload(
-    workload: Workload,
-    variants: dict[str, SignExtConfig] | None = None,
-    *,
-    traits: MachineTraits = IA64,
-    fuel: int = 100_000_000,
-    collect_telemetry: bool = False,
-) -> WorkloadResults:
-    """Deprecated alias of :func:`measure_workload`.
-
-    Prefer :func:`repro.api.bench` (whole grids) or
-    :func:`measure_workload` (one workload).
-    """
-    warnings.warn(
-        "run_workload() is deprecated; use repro.api.bench() or "
-        "repro.harness.measure_workload()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return measure_workload(workload, variants, traits=traits, fuel=fuel,
-                            collect_telemetry=collect_telemetry)

@@ -1,16 +1,9 @@
 """Execution substrate: heap, interpreters, closure engine, profiling."""
 
-from .codegen import (
-    CodegenCache,
-    default_codegen_cache,
-    generate_source,
-)
 from .engine import (
     DEFAULT_ENGINE,
-    ENGINE_CHOICES,
     ENGINES,
     ClosureInterpreter,
-    CodegenInterpreter,
     EngineParityError,
     ExecutionEngine,
     create_interpreter,
@@ -20,11 +13,6 @@ from .interpreter import (
     DEFAULT_MAX_CALL_DEPTH,
     ExecResult,
     Interpreter,
-)
-from .layout import (
-    layout_from_branch_profiles,
-    load_layout_profiles,
-    order_blocks,
 )
 from .memory import (
     ArrayObject,
@@ -45,12 +33,9 @@ from .translate import (
 __all__ = [
     "ArrayObject",
     "ClosureInterpreter",
-    "CodegenCache",
-    "CodegenInterpreter",
     "DEFAULT_ENGINE",
     "DEFAULT_MAX_CALL_DEPTH",
     "ENGINES",
-    "ENGINE_CHOICES",
     "EngineParityError",
     "ExecResult",
     "ExecutionEngine",
@@ -64,12 +49,7 @@ __all__ = [
     "Untranslatable",
     "collect_branch_profiles",
     "create_interpreter",
-    "default_codegen_cache",
     "default_translation_cache",
     "execute",
-    "generate_source",
-    "layout_from_branch_profiles",
-    "load_layout_profiles",
-    "order_blocks",
     "translate_function",
 ]

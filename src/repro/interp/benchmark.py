@@ -1,25 +1,24 @@
-"""Engine benchmark: reference vs. closure vs. codegen.
+"""Engine benchmark: reference vs. closure.
 
 Times the *execution phase* of one workload's full variant grid — the
 gold ideal-mode run plus every compiled (variant, machine) cell — under
-all three engines and writes the comparison to a JSON document
+both engines and writes the comparison to a JSON document
 (``BENCH_interp.json`` in CI).  Compilation is done once up front and
-excluded from the timings; translation time for the closure engine and
-code-generation time for the codegen engine are reported separately
-(each is paid once per program content and then served from its shared
-cache — :class:`TranslationCache` / :class:`CodegenCache`).
+excluded from the timings; the closure engine's translation time is
+reported separately (it is paid once per program content and then
+served from the shared :class:`TranslationCache`).
 
 Methodology:
 
 * every timing is the minimum over ``--repeat`` runs (least-noise
   estimator for a deterministic workload);
 * each timed run constructs a fresh interpreter and calls ``run()``;
-  for the translated engines the translation and codegen caches are
-  pre-warmed, so construction cost is slot binding only — the steady
-  state of the harness, which shares both caches process-wide;
-* all engines execute identical programs with identical fuel and
+  for the closure engine the translation cache is pre-warmed, so
+  construction cost is slot binding only — the steady state of the
+  harness, which shares the cache process-wide;
+* both engines execute identical programs with identical fuel and
   machine traits, and every cell's ``ExecResult`` is asserted equal
-  across all three engines before its timing is recorded.
+  across the two engines before its timing is recorded.
 
 Run as::
 
@@ -29,6 +28,7 @@ Run as::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import platform
 import time
@@ -36,26 +36,18 @@ import time
 from ..core import VARIANTS, compile_ir
 from ..machine.model import IA64, PPC64
 from ..workloads import get_workload
-from .codegen import CodegenCache
-from .engine import create_interpreter
+from .engine import ClosureInterpreter, Interpreter
 from .profiler import collect_branch_profiles
 from .translate import TranslationCache
 
 _MACHINES = {"ia64": IA64, "ppc64": PPC64}
 
-#: Engines measured, in reporting order.  ``reference`` first: it is
-#: the baseline every speedup is computed against.
-_BENCH_ENGINES = ("reference", "closure", "codegen")
-
-
-def _time_run(program, engine, repeat, *, cache, codegen_cache, **kwargs):
+def _time_run(make_interpreter, program, repeat, **kwargs):
     """(per-repeat seconds, ExecResult) for ``repeat`` fresh runs."""
     times = []
     result = None
     for _ in range(repeat):
-        interp = create_interpreter(program, engine=engine,
-                                    translation_cache=cache,
-                                    codegen_cache=codegen_cache, **kwargs)
+        interp = make_interpreter(program, **kwargs)
         start = time.perf_counter()
         result = interp.run()
         times.append(time.perf_counter() - start)
@@ -98,12 +90,12 @@ def run_benchmark(workload_name: str = "huffman", *,
                   fuel: int = 100_000_000,
                   repeat: int = 3,
                   recorder=None) -> dict:
-    """Benchmark all three engines over one workload's variant grid.
+    """Benchmark both engines over one workload's variant grid.
 
     ``recorder`` (a :class:`repro.perf.PerfRecorder`) lands every
     timed cell in the perf history — one record per repeat, plus the
-    cold translation/codegen time as a ``translate`` phase on each
-    translated engine's gold cell.
+    cold translation time as a ``translate`` phase on the closure
+    engine's gold cell.
     """
     traits = _MACHINES[machine]
     workload = get_workload(workload_name)
@@ -115,38 +107,24 @@ def run_benchmark(workload_name: str = "huffman", *,
         for name, config in VARIANTS.items()
     }
 
-    cache = TranslationCache()
-    codegen_cache = CodegenCache()
+    closure = functools.partial(ClosureInterpreter,
+                                translation_cache=TranslationCache())
     # Pre-warm: translate every program once so the timed closure runs
     # measure steady-state execution, as the harness sees it.
     translate_start = time.perf_counter()
-    create_interpreter(program, engine="closure", translation_cache=cache,
-                       mode="ideal", fuel=fuel)
+    closure(program, mode="ideal", fuel=fuel)
     for cell in compiled.values():
-        create_interpreter(cell.program, engine="closure",
-                           translation_cache=cache, traits=traits, fuel=fuel)
+        closure(cell.program, traits=traits, fuel=fuel)
     translate_seconds = time.perf_counter() - translate_start
-    # Same for the codegen tier (reuses the warm translation cache, so
-    # this isolates emission + compile() cost).
-    codegen_start = time.perf_counter()
-    create_interpreter(program, engine="codegen", translation_cache=cache,
-                       codegen_cache=codegen_cache, mode="ideal", fuel=fuel)
-    for cell in compiled.values():
-        create_interpreter(cell.program, engine="codegen",
-                           translation_cache=cache,
-                           codegen_cache=codegen_cache, traits=traits,
-                           fuel=fuel)
-    codegen_seconds = time.perf_counter() - codegen_start
 
-    cold_phase = {
-        "closure": {"translate": translate_seconds},
-        "codegen": {"translate": codegen_seconds},
-    }
+    # ``reference`` first: it is the baseline the speedup is computed
+    # against.
+    make = {"reference": Interpreter, "closure": closure}
+    cold_phase = {"closure": {"translate": translate_seconds}}
     engines: dict[str, dict] = {}
     results: dict[str, dict] = {}
-    for engine in _BENCH_ENGINES:
-        gold_times, gold = _time_run(program, engine, repeat, cache=cache,
-                                     codegen_cache=codegen_cache,
+    for engine, make_interpreter in make.items():
+        gold_times, gold = _time_run(make_interpreter, program, repeat,
                                      mode="ideal", fuel=fuel)
         _record_cell(recorder, workload=workload_name, variant="gold",
                      engine=engine, machine=machine, fuel=fuel,
@@ -155,10 +133,8 @@ def run_benchmark(workload_name: str = "huffman", *,
         cells = {}
         cell_results = {}
         for name, cell in compiled.items():
-            times, result = _time_run(cell.program, engine, repeat,
-                                      cache=cache,
-                                      codegen_cache=codegen_cache,
-                                      traits=traits, fuel=fuel)
+            times, result = _time_run(make_interpreter, cell.program,
+                                      repeat, traits=traits, fuel=fuel)
             _record_cell(recorder, workload=workload_name, variant=name,
                          engine=engine, machine=machine, fuel=fuel,
                          times=times, result=result,
@@ -173,14 +149,12 @@ def run_benchmark(workload_name: str = "huffman", *,
         results[engine] = {"gold": gold, **cell_results}
 
     for key, reference_result in results["reference"].items():
-        for engine in _BENCH_ENGINES[1:]:
-            assert results[engine][key] == reference_result, (
-                f"engine parity violated in cell {key!r} ({engine})"
-            )
+        assert results["closure"][key] == reference_result, (
+            f"engine parity violated in cell {key!r}"
+        )
 
     reference_total = engines["reference"]["total_seconds"]
     closure_total = engines["closure"]["total_seconds"]
-    codegen_total = engines["codegen"]["total_seconds"]
     return {
         "benchmark": "interpreter-engine-comparison",
         "workload": workload_name,
@@ -194,21 +168,17 @@ def run_benchmark(workload_name: str = "huffman", *,
                   for key, result in results["reference"].items()},
         "engines": engines,
         "translate_seconds_cold": translate_seconds,
-        "codegen_seconds_cold": codegen_seconds,
         "speedup": reference_total / closure_total,
-        "speedup_codegen": reference_total / codegen_total,
-        "speedup_codegen_over_closure": closure_total / codegen_total,
-        "parity": "all cells bit-identical across all three engines",
+        "parity": "all cells bit-identical across both engines",
         "methodology": [
             "execution phase only: compilation excluded, one gold "
             "ideal-mode run plus every compiled machine-mode variant "
             "cell",
             f"each timing is the minimum of {repeat} fresh "
             "interpreter runs (min-of-repeats)",
-            "closure translation and codegen emission pre-warmed "
-            "through the shared caches and reported separately as "
-            "translate_seconds_cold / codegen_seconds_cold",
-            "ExecResult equality asserted across all three engines "
+            "closure translation pre-warmed through the shared cache "
+            "and reported separately as translate_seconds_cold",
+            "ExecResult equality asserted across both engines "
             "for every timed cell before recording",
         ],
     }
@@ -217,7 +187,7 @@ def run_benchmark(workload_name: str = "huffman", *,
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.interp.benchmark",
-        description="Compare the reference, closure, and codegen engines.",
+        description="Compare the reference and closure engines.",
     )
     parser.add_argument("--workload", default="huffman")
     parser.add_argument("--machine", default="ia64",
@@ -250,13 +220,9 @@ def main(argv: list[str] | None = None) -> int:
             handle.write(text)
         reference = document["engines"]["reference"]["total_seconds"]
         closure = document["engines"]["closure"]["total_seconds"]
-        codegen = document["engines"]["codegen"]["total_seconds"]
         print(f"{args.workload}/{args.machine}: reference "
-              f"{reference:.3f}s, closure {closure:.3f}s, codegen "
-              f"{codegen:.3f}s — closure {document['speedup']:.2f}x, "
-              f"codegen {document['speedup_codegen']:.2f}x "
-              f"({document['speedup_codegen_over_closure']:.2f}x over "
-              f"closure) -> {args.out}")
+              f"{reference:.3f}s, closure {closure:.3f}s — closure "
+              f"{document['speedup']:.2f}x -> {args.out}")
     else:
         print(text, end="")
     return 0

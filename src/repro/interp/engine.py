@@ -1,6 +1,6 @@
-"""Execution engines: reference, closure-threaded, and generated code.
+"""Execution engines: the reference loop and closure-threaded code.
 
-Three interchangeable ways to run a program:
+Two interchangeable ways to run a program:
 
 * ``reference`` — :class:`~repro.interp.interpreter.Interpreter`, the
   simple per-step dispatch loop.  It is the semantic oracle; it stays
@@ -10,36 +10,19 @@ Three interchangeable ways to run a program:
   zero-lookup closures over a flat register list.  Functions the
   translator rejects fall back to the reference loop *per function*;
   the two loops interleave freely across calls.
-* ``codegen`` — :class:`CodegenInterpreter`, which additionally compiles
-  each translated function into one generated Python ``def`` (see
-  :mod:`repro.interp.codegen`): registers become local variables,
-  opcode semantics are inlined, and adjacent pairs fuse into
-  superinstructions.  Functions the emitter rejects keep the closure
-  tier (and below that the reference loop) *per function*.
 
-All engines produce bit-identical :class:`ExecResult` values — same
+Both engines produce bit-identical :class:`ExecResult` values — same
 checksum, return value, step count, site/opcode/extend counts, and
 branch profiles — and raise the same ``SimError`` subtypes with the
-same messages.  ``engine="both"`` in :func:`execute` runs all three
-back to back and raises :class:`EngineParityError` on any
-disagreement, which the fuzz oracle uses as an internal-consistency
-check.
+same messages.  A never-written register reads as 0 in both.
+``engine="both"`` in :func:`execute` runs the two back to back and
+raises :class:`EngineParityError` on any disagreement, which the fuzz
+oracle uses as an internal-consistency check.
 
-When an edge profile is supplied (``layout_profiles=``, shaped
-``{function: {(src label, dst label): count}}``), the translated
-engines emit blocks in profile-guided order — hot successors laid out
-fall-through (see :mod:`repro.interp.layout`).  Layout never changes
-semantics, only emission order.
-
-Known, documented divergences (both unobservable in practice):
-
-* A read of a never-written register raises ``KeyError`` in the
-  reference engine but yields 0 in the closure engine; the verifier
-  rejects such programs before they reach an interpreter.
-* On a *failed* run the closure engine's ``steps`` is only
-  block-granular (counts are folded on success only); no failed run
-  ever builds an ``ExecResult``, and the fuzz oracle never compares
-  step counts.
+One documented divergence remains, unobservable in practice: on a
+*failed* run the closure engine's ``steps`` is only block-granular
+(counts are folded on success only); no failed run ever builds an
+``ExecResult``, and the fuzz oracle never compares step counts.
 """
 
 from __future__ import annotations
@@ -47,14 +30,13 @@ from __future__ import annotations
 import time
 from typing import Protocol, runtime_checkable
 
+from ..core.config import DEFAULT_ENGINE
 from ..ir.function import Function, Program
-from .codegen import CodegenCache, default_codegen_cache
 from .interpreter import (
     ExecResult,
     Interpreter,
     stack_overflow_trap,
 )
-from .layout import order_blocks
 from .memory import FuelExhausted, SimError, Trap
 from .translate import (
     TERM_CHECKED,
@@ -66,9 +48,6 @@ from .translate import (
 )
 
 _U64 = 0xFFFF_FFFF_FFFF_FFFF
-
-#: Engine used when nothing is specified anywhere in the stack.
-DEFAULT_ENGINE = "closure"
 
 
 @runtime_checkable
@@ -100,17 +79,12 @@ class ClosureInterpreter(Interpreter):
 
     def __init__(self, program: Program, *,
                  translation_cache: TranslationCache | None = None,
-                 layout_profiles: dict[str, dict[tuple[str, str], int]]
-                 | None = None,
                  **kwargs) -> None:
         super().__init__(program, **kwargs)
         self.translation_cache = (
             translation_cache if translation_cache is not None
             else default_translation_cache()
         )
-        #: {function: {(src label, dst label): count}} — drives
-        #: profile-guided block layout; empty means source order
-        self._layout_profiles = layout_profiles or {}
         self.translate_seconds = 0.0
         self.translated_functions = 0
         self.fallback_functions = 0
@@ -128,13 +102,6 @@ class ClosureInterpreter(Interpreter):
 
     # -- translation ----------------------------------------------------
 
-    def _layout_for(self, func: Function) -> tuple[str, ...] | None:
-        """Profile-guided emission order for ``func`` (None = source)."""
-        counts = self._layout_profiles.get(func.name)
-        if not counts:
-            return None
-        return order_blocks(func, counts)
-
     def _translate_all(self) -> None:
         cache = self.translation_cache
         start = time.perf_counter()
@@ -143,7 +110,6 @@ class ClosureInterpreter(Interpreter):
             translated = cache.get_or_translate(
                 func, ideal=self.ideal, traits=self.traits,
                 check_dummies=self.check_dummies,
-                layout=self._layout_for(func),
             )
             if translated is None or not self._bind(func, translated):
                 self.fallback_functions += 1
@@ -383,149 +349,22 @@ class ClosureInterpreter(Interpreter):
         )
 
 
-class CodegenInterpreter(ClosureInterpreter):
-    """Runs generated Python code; reference-identical results.
-
-    Construction first translates everything through the closure tier
-    (the superclass), then compiles each translated function into one
-    generated ``def`` via the shared :class:`CodegenCache`.  Calls
-    route to the generated function when one exists; otherwise the
-    closure frame loop (and below it the reference loop) handles the
-    call — all three tiers interleave freely across the call graph.
-
-    The generated frames reuse this class's block-entry counters and
-    fuel-out replay (via :meth:`_frame_entries` and
-    :meth:`_replay_fuel_out`), so folding, counting, and fuel
-    exhaustion are byte-for-byte the closure engine's.
-    """
-
-    def __init__(self, program: Program, *,
-                 codegen_cache: CodegenCache | None = None,
-                 **kwargs) -> None:
-        self.codegen_cache = (
-            codegen_cache if codegen_cache is not None
-            else default_codegen_cache()
-        )
-        self.codegen_seconds = 0.0
-        self.generated_functions = 0
-        self.codegen_fallback_functions = 0
-        self.codegen_cache_hits = 0
-        self.codegen_cache_misses = 0
-        self._generated: dict[str, object] = {}
-        super().__init__(program, **kwargs)
-        self._generate_all()
-
-    # -- code generation ------------------------------------------------
-
-    def _generate_all(self) -> None:
-        cache = self.codegen_cache
-        start = time.perf_counter()
-        hits0, misses0 = cache.hits, cache.misses
-        functions = self.program.functions
-        for name, translated in self._translated.items():
-            func = functions[name]
-            generated = cache.get_or_generate(
-                func, translated, ideal=self.ideal, traits=self.traits,
-                check_dummies=self.check_dummies,
-                layout=self._layout_for(func),
-                profiled=self.collect_profile,
-            )
-            if generated is None:
-                self.codegen_fallback_functions += 1
-                continue
-            self._generated[name] = generated.fn
-            self.generated_functions += 1
-        self.codegen_cache_hits = cache.hits - hits0
-        self.codegen_cache_misses = cache.misses - misses0
-        self.codegen_seconds = time.perf_counter() - start
-
-    # -- hooks called from generated code -------------------------------
-
-    def _frame_entries(self, name: str, n_blocks: int) -> list[int]:
-        """The fold-on-success entry counters for one generated frame."""
-        entries = self._entries.get(name)
-        if entries is None:
-            entries = self._entries[name] = [0] * n_blocks
-        return entries
-
-    def _replay_fuel_out(self, name: str, bidx: int, sidx: int,
-                         regs: list[int | float]) -> None:
-        """A generated segment pre-check tripped.
-
-        Replays the closure translation's op list for the same segment
-        (``sidx == -1`` is a TERM_CHECKED pre-terminator check, which
-        replays nothing) over a positionally identical register list —
-        exactly :meth:`_fuel_out`'s contract.  The lookup keeps the
-        generated code free of binding-specific state, so compiled
-        function objects stay shareable across interpreters.
-        """
-        if sidx < 0:
-            ops: tuple = ()
-        else:
-            ops = self._translated[name].blocks[bidx].segments[sidx][0]
-        self._fuel_out(ops, regs)
-
-    # -- execution ------------------------------------------------------
-
-    def _call(self, func: Function,
-              args: tuple[int | float, ...]) -> int | float | None:
-        generated = self._generated.get(func.name)
-        if generated is None:
-            return super()._call(func, args)
-        return generated(self, args)
-
-    def _flush_engine_metrics(self) -> None:
-        super()._flush_engine_metrics()
-        metrics = self.metrics
-        metrics.counter("runtime.engine.generated_functions").inc(
-            self.generated_functions
-        )
-        if self.codegen_fallback_functions:
-            metrics.counter("runtime.engine.codegen_fallback_functions").inc(
-                self.codegen_fallback_functions
-            )
-        metrics.counter("runtime.engine.codegen_cache_hits").inc(
-            self.codegen_cache_hits
-        )
-        metrics.counter("runtime.engine.codegen_cache_misses").inc(
-            self.codegen_cache_misses
-        )
-        metrics.gauge("runtime.engine.codegen_seconds").set(
-            self.codegen_seconds
-        )
-
-
 #: Engine name -> interpreter class.  ``"both"`` is not an engine but a
 #: cross-check mode understood by :func:`execute` and the fuzz oracle.
 ENGINES: dict[str, type[Interpreter]] = {
     "reference": Interpreter,
     "closure": ClosureInterpreter,
-    "codegen": CodegenInterpreter,
 }
-
-#: Every value accepted by ``--engine`` / ``CompileOptions.engine``.
-ENGINE_CHOICES = ("closure", "reference", "codegen", "both")
 
 
 def create_interpreter(program: Program, *, engine: str = DEFAULT_ENGINE,
                        **kwargs) -> Interpreter:
-    """Instantiate the named engine.
-
-    Engine-specific keyword arguments (``translation_cache``,
-    ``layout_profiles``, ``codegen_cache``) are dropped when the
-    selected engine does not take them, so callers can thread one
-    kwargs dict through any engine choice.
-    """
+    """Instantiate the named engine."""
     cls = ENGINES.get(engine)
     if cls is None:
         raise ValueError(
             f"unknown engine {engine!r} (expected one of {sorted(ENGINES)})"
         )
-    if cls is Interpreter:
-        kwargs.pop("translation_cache", None)
-        kwargs.pop("layout_profiles", None)
-    if cls is not CodegenInterpreter:
-        kwargs.pop("codegen_cache", None)
     return cls(program, **kwargs)
 
 
@@ -541,46 +380,43 @@ def execute(program: Program, func_name: str = "main",
             engine: str = DEFAULT_ENGINE, **kwargs) -> ExecResult:
     """Run ``program`` on the selected engine and return its result.
 
-    ``engine="both"`` runs the closure engine, the reference
-    interpreter, and the codegen engine back to back and raises
-    :class:`EngineParityError` unless all three produce the same
-    outcome — identical ``ExecResult`` on success, identical exception
-    type and message on failure.  The closure engine's result (or
-    exception) is then propagated.
+    ``engine="both"`` runs the default engine (closure) and then the
+    reference interpreter and raises :class:`EngineParityError` unless
+    both produce the same outcome — identical ``ExecResult`` on success,
+    identical exception type and message on failure.  The default
+    engine's result (or exception) is then propagated.
     """
     if engine != "both":
         return create_interpreter(program, engine=engine, **kwargs).run(
             func_name, args
         )
 
-    closure_kind, closure_out = _outcome(
-        create_interpreter(program, engine="closure", **dict(kwargs)),
+    kind, out = _outcome(
+        create_interpreter(program, engine=DEFAULT_ENGINE, **kwargs),
         func_name, args,
     )
-    for other in ("reference", "codegen"):
-        other_kwargs = dict(kwargs)
-        other_kwargs["metrics"] = None  # don't double-count one logical run
-        other_kind, other_out = _outcome(
-            create_interpreter(program, engine=other, **other_kwargs),
-            func_name, args,
+    # metrics=None: don't double-count one logical run
+    ref_kind, ref_out = _outcome(
+        create_interpreter(program, engine="reference",
+                           **{**kwargs, "metrics": None}),
+        func_name, args,
+    )
+    if kind != ref_kind:
+        raise EngineParityError(
+            f"engines disagree on outcome for {func_name}: "
+            f"{DEFAULT_ENGINE}={kind}({out}) reference={ref_kind}({ref_out})"
         )
-        if closure_kind != other_kind:
+    if kind == "ok":
+        if out != ref_out:
             raise EngineParityError(
-                f"engines disagree on outcome for {func_name}: "
-                f"closure={closure_kind}({closure_out}) "
-                f"{other}={other_kind}({other_out})"
+                f"engines disagree on result for {func_name}: "
+                f"{DEFAULT_ENGINE}={out!r} reference={ref_out!r}"
             )
-        if closure_kind == "ok":
-            if closure_out != other_out:
-                raise EngineParityError(
-                    f"engines disagree on result for {func_name}: "
-                    f"closure={closure_out!r} {other}={other_out!r}"
-                )
-        elif str(closure_out) != str(other_out):
-            raise EngineParityError(
-                f"engines disagree on {closure_kind} message for "
-                f"{func_name}: closure={closure_out} {other}={other_out}"
-            )
-    if closure_kind == "ok":
-        return closure_out
-    raise closure_out
+    elif str(out) != str(ref_out):
+        raise EngineParityError(
+            f"engines disagree on {kind} message for {func_name}: "
+            f"{DEFAULT_ENGINE}={out} reference={ref_out}"
+        )
+    if kind == "ok":
+        return out
+    raise out

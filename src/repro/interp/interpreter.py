@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from ..ir.function import Function, Program
@@ -207,7 +208,10 @@ class Interpreter:
         depth = self.call_depth + 1
         if depth > self.max_call_depth:
             raise stack_overflow_trap(self.max_call_depth)
-        regs: dict[str, int | float] = {}
+        # A never-written register reads as 0, as in the closure
+        # engine's zero-filled frame; the verifier does not reject such
+        # reads, so both engines must agree on them.
+        regs: dict[str, int | float] = defaultdict(int)
         for param, value in zip(func.params, args):
             if param.type is ScalarType.F64:
                 regs[param.name] = float(value)

@@ -16,7 +16,8 @@ from __future__ import annotations
 from ..analysis.frequency import BranchProfile
 from ..ir.function import Program
 from ..machine.model import IA64, MachineTraits
-from .engine import DEFAULT_ENGINE, create_interpreter
+from ..core.config import DEFAULT_ENGINE
+from .engine import create_interpreter
 
 
 def collect_branch_profiles(
@@ -44,8 +45,8 @@ def collect_branch_profiles(
 
         program = clone_program(program)
         inline_small_functions(program)
-    if engine == "both":  # profiling is single-engine; pick the fast one
-        engine = "closure"
+    if engine == "both":  # profiling is single-engine; pick the default
+        engine = DEFAULT_ENGINE
     interpreter = create_interpreter(
         program, engine=engine, traits=traits, mode=mode, fuel=fuel,
         collect_profile=True,

@@ -146,48 +146,16 @@ class TranslatedBlock:
 class TranslatedFunction:
     """A whole function compiled to threaded code."""
 
-    __slots__ = ("name", "n_params", "param_plan", "n_slots",
-                 "blocks", "labels", "slot_names")
+    __slots__ = ("name", "n_params", "param_plan", "n_slots", "blocks")
 
-    def __init__(self, name, n_params, param_plan, n_slots,
-                 blocks, labels, slot_names=()) -> None:
+    def __init__(self, name, n_params, param_plan, n_slots, blocks) -> None:
         self.name = name
         self.n_params = n_params
         #: tuple of (slot, is_float) in parameter order
         self.param_plan = param_plan
         self.n_slots = n_slots
+        #: in source order; the entry block is index 0
         self.blocks = blocks
-        #: label -> block index (in *emission* order, which follows the
-        #: requested layout — not necessarily source order)
-        self.labels = labels
-        #: register name per slot index; the codegen tier names its
-        #: Python locals off this so fuel-out replay can rebuild the
-        #: closure engine's flat register list positionally
-        self.slot_names = slot_names
-
-
-def normalize_layout(func: Function,
-                     layout: tuple[str, ...] | None) -> tuple[str, ...] | None:
-    """Make an advisory block layout safe for ``func``.
-
-    Profiles are hints, possibly stale (recorded against a different
-    program revision): unknown labels are dropped, missing labels are
-    appended in source order, and the entry block is forced first.
-    Returns ``None`` when the result is just source order, so cache
-    keys stay identical for the un-laid-out common case.
-    """
-    source_order = tuple(block.label for block in func.blocks)
-    if not layout:
-        return None
-    known = set(source_order)
-    ordered = [label for label in layout if label in known]
-    seen = set(ordered)
-    ordered.extend(label for label in source_order if label not in seen)
-    entry = source_order[0]
-    ordered.remove(entry)
-    ordered.insert(0, entry)
-    result = tuple(ordered)
-    return None if result == source_order else result
 
 
 def _cut_block(instrs: list[Instr]) -> list[Instr]:
@@ -625,13 +593,11 @@ def _mk_ret(src):
 
 class _Translator:
     def __init__(self, func: Function, ideal: bool, traits: MachineTraits,
-                 check_dummies: bool,
-                 layout: tuple[str, ...] | None = None) -> None:
+                 check_dummies: bool) -> None:
         self.func = func
         self.ideal = ideal
         self.traits = traits
         self.check_dummies = check_dummies
-        self.layout = layout
         self.slots: dict[str, int] = {}
 
     def slot(self, name: str) -> int:
@@ -648,14 +614,9 @@ class _Translator:
         )
         if len({block.label for block in func.blocks}) != len(func.blocks):
             raise Untranslatable(f"{func.name}: duplicate block labels")
-        ordered = func.blocks
-        layout = normalize_layout(func, self.layout)
-        if layout is not None:
-            by_label = {block.label: block for block in func.blocks}
-            ordered = [by_label[label] for label in layout]
-        labels = {block.label: i for i, block in enumerate(ordered)}
+        labels = {block.label: i for i, block in enumerate(func.blocks)}
         blocks = tuple(
-            self._translate_block(block, labels) for block in ordered
+            self._translate_block(block, labels) for block in func.blocks
         )
         return TranslatedFunction(
             name=func.name,
@@ -663,8 +624,6 @@ class _Translator:
             param_plan=param_plan,
             n_slots=len(self.slots),
             blocks=blocks,
-            labels=labels,
-            slot_names=tuple(sorted(self.slots, key=self.slots.get)),
         )
 
     def _translate_block(self, block, labels) -> TranslatedBlock:
@@ -851,22 +810,15 @@ class _Translator:
 
 def translate_function(func: Function, *, ideal: bool,
                        traits: MachineTraits,
-                       check_dummies: bool = True,
-                       layout: tuple[str, ...] | None = None,
-                       ) -> TranslatedFunction:
+                       check_dummies: bool = True) -> TranslatedFunction:
     """Compile one function to threaded code.
 
-    ``layout`` optionally reorders block emission (profile-guided: hot
-    successors adjacent — see :mod:`repro.interp.layout`); semantics are
-    unaffected because branch targets are index-resolved against the
-    same order.  Raises :class:`Untranslatable` for anything the
-    translator cannot prove it compiles faithfully; all unexpected
-    errors are wrapped so a translator bug degrades to the reference
-    engine, never to a crash.
+    Raises :class:`Untranslatable` for anything the translator cannot
+    prove it compiles faithfully; all unexpected errors are wrapped so a
+    translator bug degrades to the reference engine, never to a crash.
     """
     try:
-        return _Translator(func, ideal, traits, check_dummies,
-                           layout).translate()
+        return _Translator(func, ideal, traits, check_dummies).translate()
     except Untranslatable:
         raise
     except Exception as exc:
@@ -879,17 +831,6 @@ def _traits_key(traits: MachineTraits):
     return (traits.name, tuple(sorted(
         (t.value, e.value) for t, e in traits.load_ext.items()
     )))
-
-
-def function_digest(func: Function) -> str:
-    """Content address of one function: SHA-256 over its printed IR.
-
-    Shared by the closure :class:`TranslationCache` and the codegen
-    tier's generated-source cache so both key on the same identity.
-    """
-    return hashlib.sha256(
-        format_function(func).encode("utf-8")
-    ).hexdigest()
 
 
 class TranslationCache:
@@ -913,21 +854,17 @@ class TranslationCache:
         self.misses = 0
 
     def _key(self, func: Function, ideal: bool, traits: MachineTraits,
-             check_dummies: bool,
-             layout: tuple[str, ...] | None = None) -> tuple:
-        return (function_digest(func), ideal, _traits_key(traits),
-                check_dummies, layout)
+             check_dummies: bool) -> tuple:
+        digest = hashlib.sha256(
+            format_function(func).encode("utf-8")
+        ).hexdigest()
+        return (digest, ideal, _traits_key(traits), check_dummies)
 
     def get_or_translate(self, func: Function, *, ideal: bool,
                          traits: MachineTraits,
-                         check_dummies: bool = True,
-                         layout: tuple[str, ...] | None = None
+                         check_dummies: bool = True
                          ) -> TranslatedFunction | None:
-        # Normalising first keeps the key stable: a stale or
-        # source-order layout collapses to ``None`` and shares the
-        # unprofiled entry instead of duplicating it.
-        layout = normalize_layout(func, layout)
-        key = self._key(func, ideal, traits, check_dummies, layout)
+        key = self._key(func, ideal, traits, check_dummies)
         with self._lock:
             if key in self._entries:
                 self.hits += 1
@@ -940,7 +877,7 @@ class TranslationCache:
         try:
             translated = translate_function(
                 func, ideal=ideal, traits=traits,
-                check_dummies=check_dummies, layout=layout,
+                check_dummies=check_dummies,
             )
         except Untranslatable:
             translated = None

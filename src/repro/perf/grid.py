@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..core import VARIANTS
-from ..core.config import CompileOptions
+from ..core.config import DEFAULT_ENGINE, CompileOptions
 from .recorder import PerfRecorder
 
 #: the fixed gate grid's variants: the two ends of the paper's tables
@@ -32,7 +32,7 @@ DEFAULT_RECORD_WORKLOADS = ("fourier", "huffman")
 def record_grid(
     workloads: Sequence[str] = DEFAULT_RECORD_WORKLOADS,
     *,
-    engines: Iterable[str] = ("closure",),
+    engines: Iterable[str] = (DEFAULT_ENGINE,),
     variants: Sequence[str] | None = None,
     options: CompileOptions | None = None,
     repeat: int = 3,

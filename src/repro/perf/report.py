@@ -417,31 +417,27 @@ def _cache_section(history: _History) -> str:
 def _speedup_section(history: _History) -> str:
     series = []
     rows = []
-    workloads = history.workloads()[:3]
-    slot = 0
-    for workload in workloads:
-        for engine in ("closure", "codegen"):
-            slot += 1
-            points = []
-            for x, run_id in enumerate(history.run_ids):
-                timed = _best_phase(
-                    history.cell(run_id, workload=workload,
-                                 engine=engine), "execute")
-                reference = _best_phase(
-                    history.cell(run_id, workload=workload,
-                                 engine="reference"), "execute")
-                if timed and reference:
-                    speedup = reference / timed
-                    points.append((x, speedup))
-                    rows.append((history.run_labels[x], workload,
-                                 engine, f"{speedup:.2f}x"))
-            if points:
-                series.append((f"{workload} ({engine})", slot, points))
+    for slot, workload in enumerate(history.workloads()[:3], 1):
+        points = []
+        for x, run_id in enumerate(history.run_ids):
+            timed = _best_phase(
+                history.cell(run_id, workload=workload,
+                             engine="closure"), "execute")
+            reference = _best_phase(
+                history.cell(run_id, workload=workload,
+                             engine="reference"), "execute")
+            if timed and reference:
+                speedup = reference / timed
+                points.append((x, speedup))
+                rows.append((history.run_labels[x], workload,
+                             f"{speedup:.2f}x"))
+        if points:
+            series.append((workload, slot, points))
     chart = _line_chart(series, history.run_labels,
                         y_fmt=lambda v: f"{v:.1f}x")
     legend = _legend([(name, slot) for name, slot, _ in series])
-    table = _data_table(("run", "workload", "engine", "speedup"), rows)
-    return _figure("translated-engine speedup over reference "
+    table = _data_table(("run", "workload", "speedup"), rows)
+    return _figure("closure-engine speedup over reference "
                    "(execute phase, min of repeats)", chart, legend,
                    table)
 

@@ -26,6 +26,7 @@ components so recursion cannot double-count.
 
 from __future__ import annotations
 
+from ..core.config import DEFAULT_ENGINE
 from ..interp.interpreter import _EXTEND_WIDTH, ExecResult
 from ..ir.function import Function, Program
 from ..ir.opcodes import Opcode
@@ -58,7 +59,7 @@ def build_profile(
     result: ExecResult,
     *,
     traits: MachineTraits | None = None,
-    engine: str = "closure",
+    engine: str = DEFAULT_ENGINE,
     variant: str = "",
     machine: str = "",
     workload: str = "",

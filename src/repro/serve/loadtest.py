@@ -42,6 +42,7 @@ import uuid
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..core.config import DEFAULT_ENGINE
 from ..telemetry import Tracer
 from .protocol import run_response, strip_volatile
 
@@ -94,7 +95,7 @@ class LoadtestConfig:
     kernels: tuple[str, ...] = ("sum8", "shift16", "bytemix")
     variant: str = "new algorithm (all)"
     machine: str = "ia64"
-    engine: str = "closure"
+    engine: str = DEFAULT_ENGINE
     fuel: int = 100_000_000
     seed: int = 0
     #: compare served run responses against local api.run results

@@ -21,7 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from ..core.config import DEFAULT_VARIANT, VARIANTS
+from ..core.config import (
+    DEFAULT_ENGINE,
+    DEFAULT_VARIANT,
+    ENGINE_CHOICES,
+    VARIANTS,
+)
 from ..machine import MACHINES
 
 #: response keys that may differ between a served and a local run
@@ -29,7 +34,6 @@ VOLATILE_KEYS = frozenset({
     "cached", "coalesced", "timing_ms", "cache_key", "server", "trace_id",
 })
 
-_ENGINES = ("closure", "reference", "codegen", "both")
 _ENDPOINTS = ("compile", "run", "bench", "profile")
 
 #: serving defaults; requests may lower but not raise the fuel budget
@@ -106,10 +110,10 @@ def parse_request(endpoint: str, payload: Any, *,
             f"unknown machine {machine!r}; one of: "
             + ", ".join(sorted(MACHINES))
         )
-    engine = _expect_str(payload, "engine") or "closure"
-    if engine not in _ENGINES:
+    engine = _expect_str(payload, "engine") or DEFAULT_ENGINE
+    if engine not in ENGINE_CHOICES:
         raise ProtocolError(
-            f"unknown engine {engine!r}; one of: " + ", ".join(_ENGINES)
+            f"unknown engine {engine!r}; one of: " + ", ".join(ENGINE_CHOICES)
         )
 
     fuel = payload.get("fuel", default_fuel)

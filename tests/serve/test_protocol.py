@@ -42,6 +42,7 @@ class TestParseRequest:
         {"source": SOURCE, "fuel": True},
         {"source": SOURCE, "fuel": 10**18},
         {"source": SOURCE, "variants": ["baseline"]},  # bench-only field
+        {"source": SOURCE, "engine": "codegen"},       # removed engine
     ])
     def test_rejected_payloads(self, payload):
         with pytest.raises(ProtocolError) as err:

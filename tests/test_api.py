@@ -1,4 +1,4 @@
-"""The repro.api facade: compile / run / bench, options, deprecations."""
+"""The repro.api facade: compile / run / bench, options, removed names."""
 
 import argparse
 import warnings
@@ -135,6 +135,13 @@ class TestCompileOptions:
         with pytest.raises(ValueError):
             CompileOptions(jobs=0)
 
+    @pytest.mark.parametrize("engine", ["jit", "codegen"])
+    def test_unknown_engine_names_the_valid_ones(self, engine):
+        with pytest.raises(ValueError) as info:
+            CompileOptions(engine=engine)
+        assert str(info.value) == (f"unknown engine: {engine!r}; one of: "
+                                   "closure, reference, both")
+
     def test_config_combines_variant_and_machine(self):
         options = CompileOptions(machine="ppc64")
         config = options.config()
@@ -169,27 +176,26 @@ class TestCompileOptions:
 
 
 class TestDeprecatedAliases:
-    def test_compile_program_warns_and_works(self):
-        from repro.core import compile_program
-
-        with pytest.warns(DeprecationWarning, match="compile_ir"):
-            result = compile_program(
-                compile_source(SOURCE, "legacy"),
-                VARIANTS["new algorithm (all)"],
-            )
-        assert result.function_stats
-
-    def test_run_workload_warns_and_works(self):
-        from repro.harness import run_workload
-
-        with pytest.warns(DeprecationWarning, match="measure_workload"):
-            results = run_workload(FAST, SMALL_VARIANTS)
-        assert set(results.cells) == set(SMALL_VARIANTS)
-
     def test_top_level_reexports(self):
-        assert repro.compile_program is not None
-        assert repro.run_workload is not None
-        assert repro.__version__ == "1.8.0"
+        """The pre-facade aliases are gone, and the version is defined
+        once: packaging reads it from ``repro.__version__``."""
+        import repro.core
+        import repro.harness
+
+        for module, name in ((repro, "compile_program"),
+                             (repro, "run_workload"),
+                             (repro.core, "compile_program"),
+                             (repro.harness, "run_workload")):
+            assert not hasattr(module, name), (module.__name__, name)
+        assert repro.__version__ == "1.9.0"
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        with open(pyproject, "rb") as handle:
+            config = tomllib.load(handle)
+        assert "version" not in config["project"]
+        assert config["project"]["dynamic"] == ["version"]
+        assert config["tool"]["setuptools"]["dynamic"]["version"] == {
+            "attr": "repro.__version__"}
 
     def test_new_engines_do_not_warn(self):
         from repro.core import compile_ir

@@ -377,10 +377,25 @@ class TestErrorPaths:
         assert "invalid choice" in capsys.readouterr().err
 
     def test_bad_engine_is_usage_error(self, source_file, capsys):
+        for engine in ("jit", "codegen"):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["run", source_file, "--engine", engine])
+            assert exit_info.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--layout-profile", "hot.profile.json"],
+        ["ir", "--emit-python"],
+    ], ids=["layout-profile", "emit-python"])
+    def test_removed_flag_is_usage_error(self, source_file, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["run", source_file, "--engine", "jit"])
+            main([argv[0], source_file, *argv[1:]])
         assert exit_info.value.code == 2
-        assert "invalid choice" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [
+            f"repro: error: unrecognized arguments: {' '.join(argv[1:])}"]
 
 
 class TestCacheCommand:
