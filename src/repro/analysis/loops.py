@@ -111,6 +111,3 @@ class LoopForest:
                 if best is None or loop.depth > best.depth:
                     best = loop
         return best
-
-    def depth_of(self, block: Block) -> int:
-        return block.loop_depth

@@ -141,19 +141,3 @@ class Chains:
 
         block = self._block_of_instr.pop(instr.uid)
         block.remove(instr)
-
-    def remove_leaf(self, instr: Instr) -> None:
-        """Remove an instruction whose definition has no remaining uses
-        (used to drop dummy markers after elimination)."""
-        definition = self.reaching.def_of_instr.get(instr.uid)
-        if definition is not None:
-            for operand_index in range(len(instr.srcs)):
-                for up_def in self._ud.get((instr.uid, operand_index), []):
-                    du_chain = self._du[up_def.index]
-                    du_chain[:] = [
-                        u for u in du_chain if u.instr.uid != instr.uid
-                    ]
-                self._ud.pop((instr.uid, operand_index), None)
-            self._du[definition.index] = []
-        block = self._block_of_instr.pop(instr.uid)
-        block.remove(instr)

@@ -42,11 +42,30 @@ from .ir import format_program
 from .machine import MACHINES
 from .machine.lower import lower_function
 from .telemetry import Telemetry
+from .workloads import JBYTEMARK, SPECJVM98
 
 
 def _load(path: str):
     source = pathlib.Path(path).read_text()
     return compile_source(source, pathlib.Path(path).stem)
+
+
+def _int_in(low: int, high: int | None = None):
+    """An argparse ``type=`` for integers in ``[low, high]``, so an
+    out-of-range value is a usage error rather than a traceback."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid integer: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            allowed = f">= {low}" if high is None else f"{low}-{high}"
+            raise argparse.ArgumentTypeError(
+                f"must be {allowed}, got {value}")
+        return value
+
+    return parse
 
 
 def _common_args(parser: argparse.ArgumentParser, *,
@@ -75,7 +94,7 @@ def _engine_arg(parser: argparse.ArgumentParser) -> None:
 
 def _driver_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("batch driver")
-    group.add_argument("--jobs", type=int, default=1, metavar="N",
+    group.add_argument("--jobs", type=_int_in(1), default=1, metavar="N",
                        help="compile over N worker processes")
     group.add_argument("--cache", action="store_true",
                        help="reuse compilations from the compile cache")
@@ -130,7 +149,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_ir(args: argparse.Namespace) -> int:
-    from .workloads import JBYTEMARK, SPECJVM98, get_workload
+    from .workloads import get_workload
 
     options = CompileOptions.from_cli_args(args)
     if args.file in JBYTEMARK + SPECJVM98:
@@ -171,15 +190,15 @@ def cmd_compile(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     """Compile + execute under full telemetry; write a Chrome trace."""
     from .core.pipeline import compile_ir
-    from .interp import Interpreter
+    from .interp import execute
 
     program = _load(args.file)
     traits = MACHINES[args.machine]
     config = VARIANTS[args.variant].with_traits(traits)
     telemetry = Telemetry(label=pathlib.Path(args.file).stem)
     compiled = compile_ir(program, config, telemetry=telemetry)
-    run = Interpreter(compiled.program, traits=traits, fuel=args.fuel,
-                      metrics=telemetry.metrics).run()
+    run = execute(compiled.program, traits=traits, fuel=args.fuel,
+                  metrics=telemetry.metrics)
 
     out = pathlib.Path(args.out)
     with open(out, "w") as handle:
@@ -213,19 +232,18 @@ def cmd_asm(args: argparse.Namespace) -> int:
 
 
 def cmd_variants(args: argparse.Namespace) -> int:
-    from .interp import Interpreter
+    from .interp import execute
     from .machine.costs import count_cycles
 
     program = _load(args.file)
     traits = MACHINES[args.machine]
-    gold = Interpreter(program, mode="ideal", fuel=args.fuel).run()
+    gold = execute(program, mode="ideal", fuel=args.fuel)
     baseline = None
     print(f"{'variant':30s}{'dyn ext32':>12s}{'% of base':>12s}"
           f"{'cycles':>14s}")
     for name, config in VARIANTS.items():
         compiled = api.compile(program, config=config.with_traits(traits))
-        run = Interpreter(compiled.program, traits=traits,
-                          fuel=args.fuel).run()
+        run = execute(compiled.program, traits=traits, fuel=args.fuel)
         if run.observable() != gold.observable():
             print(f"{name:30s}  BEHAVIOUR DIVERGED", file=sys.stderr)
             return 1
@@ -240,7 +258,6 @@ def cmd_variants(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     from .harness import export_json, format_dynamic_count_table
-    from .workloads import JBYTEMARK, SPECJVM98
 
     if args.workload not in JBYTEMARK + SPECJVM98:
         print(f"unknown workload {args.workload!r}; available: "
@@ -284,7 +301,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         format_profile_summary,
         render_heatmap_html,
     )
-    from .workloads import JBYTEMARK, SPECJVM98, get_workload
+    from .workloads import get_workload
 
     options = CompileOptions.from_cli_args(args)
     if args.target in JBYTEMARK + SPECJVM98:
@@ -491,7 +508,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         format_performance_figure,
         format_timing_table,
     )
-    from .workloads import JBYTEMARK, SPECJVM98
 
     suites = {"jbytemark": JBYTEMARK, "specjvm98": SPECJVM98}
     options = CompileOptions.from_cli_args(args)
@@ -793,7 +809,8 @@ def main(argv: list[str] | None = None) -> int:
     fuzz_parser.add_argument("--seed-start", type=int, default=0,
                              metavar="N", help="first seed (shards the "
                              "seed space across campaigns)")
-    fuzz_parser.add_argument("--jobs", type=int, default=1, metavar="N",
+    fuzz_parser.add_argument("--jobs", type=_int_in(1), default=1,
+                             metavar="N",
                              help="compile over N worker processes")
     fuzz_parser.add_argument("--time-budget", type=float, default=None,
                              metavar="SEC",
@@ -852,7 +869,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     perf_record.add_argument("--workloads", nargs="+",
                              default=["fourier", "huffman"],
-                             metavar="NAME",
+                             choices=JBYTEMARK + SPECJVM98, metavar="NAME",
                              help="workloads in the grid (default: "
                                   "fourier huffman)")
     perf_record.add_argument("--engines", nargs="+",
@@ -920,9 +937,10 @@ def main(argv: list[str] | None = None) -> int:
                       "coalescing and backpressure (docs/SERVING.md)"
     )
     serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=8787,
+    serve_parser.add_argument("--port", type=_int_in(0, 65535), default=8787,
                               help="listen port (0 = ephemeral)")
-    serve_parser.add_argument("--workers", type=int, default=2, metavar="N",
+    serve_parser.add_argument("--workers", type=_int_in(1), default=2,
+                              metavar="N",
                               help="worker threads executing jobs")
     serve_parser.add_argument("--queue-limit", type=int, default=8,
                               metavar="N",
@@ -997,7 +1015,7 @@ def main(argv: list[str] | None = None) -> int:
     loadtest_parser.add_argument("--no-verify", action="store_true",
                                  help="skip the bit-identity check "
                                       "against local execution")
-    loadtest_parser.add_argument("--workers", type=int, default=2,
+    loadtest_parser.add_argument("--workers", type=_int_in(1), default=2,
                                  metavar="N",
                                  help="worker threads of a --spawn server")
     loadtest_parser.add_argument("--queue-limit", type=int, default=8,

@@ -34,8 +34,6 @@ in the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..analysis.ud_du import Chains
 from ..analysis.value_range import Interval, ValueRanges
 from ..ir.instruction import Instr
@@ -68,17 +66,6 @@ from .config import SignExtConfig
 _RANGE_CANONICAL_OPS = frozenset(
     {Opcode.ADD32, Opcode.SUB32, Opcode.MUL32, Opcode.NEG32}
 )
-
-
-@dataclass
-class EliminationStats:
-    candidates: int = 0
-    eliminated: int = 0
-    eliminated_by_width: dict[int, int] = None
-
-    def __post_init__(self) -> None:
-        if self.eliminated_by_width is None:
-            self.eliminated_by_width = {8: 0, 16: 0, 32: 0}
 
 
 class Eliminator:
@@ -160,10 +147,6 @@ class Eliminator:
         return True
 
     # -- decision recording (telemetry only) --------------------------------
-
-    def _note(self, reason: str) -> None:
-        if self._trail is not None:
-            self._trail.append(reason)
 
     def _theorem_hit(self, theorem: int) -> None:
         if self._trail_theorems is not None:

@@ -3,21 +3,22 @@
 Chains are built once (the paper's "UD/DU chain creation" budget line)
 and spliced incrementally as extensions are removed.
 
-With ``telemetry`` attached, each sub-phase ((3)-1 insertion, (3)-2
-order determination, chain construction, (3)-3 elimination) becomes a
-span, the phase's statistics land in the metrics registry, and every
-candidate produces one decision record (see
+Each sub-phase ((3)-1 insertion, (3)-2 order determination, chain
+construction, (3)-3 elimination) is one ``Timing.span`` region: it
+feeds its Table-3 bucket and, under a traced compile, is also a span.
+With ``telemetry`` attached the phase's statistics land in the metrics
+registry and every candidate produces one decision record (see
 :mod:`repro.telemetry.decisions`).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from ..analysis.frequency import BranchProfile
 from ..analysis.ud_du import Chains
 from ..ir.function import Function
+from ..ir.opcodes import EXTEND_BITS
 from ..opt.pass_manager import BUCKET_CHAINS, BUCKET_SIGN_EXT, Timing
 from ..telemetry import Telemetry
 from .analyze import Eliminator
@@ -52,68 +53,44 @@ def run_sign_extension_elimination(
     timing: Timing | None = None,
     telemetry: Telemetry | None = None,
 ) -> FunctionStats:
-    """Run phase 3 (the new algorithm) on one converted function."""
+    """Run phase 3 (the new algorithm) on one converted function.
+
+    Sub-phases are spans only when ``timing`` carries a tracer.
+    """
     stats = FunctionStats(name=func.name)
     timing = timing if timing is not None else Timing()
 
-    if telemetry is None:
-        return _run_phase3(func, config, profile, timing, stats, None)
-    with telemetry.span("sign-ext", function=func.name):
-        _run_phase3(func, config, profile, timing, stats, telemetry)
-    _record_phase3_metrics(stats, config, telemetry)
-    return stats
+    with timing.span("sign-ext", function=func.name):
+        with timing.span("insertion", BUCKET_SIGN_EXT, category="sign-ext"):
+            stats.dummies = insert_dummy_markers(func)
+            if config.insert:
+                if config.insert_pde:
+                    stats.inserted = run_pde_insertion(func, config.traits)
+                else:
+                    stats.inserted = insert_before_requiring_uses(
+                        func, config.traits
+                    )
+        with timing.span("ordering", BUCKET_SIGN_EXT, category="sign-ext"):
+            candidates = order_candidates(
+                func,
+                use_order=config.order,
+                profile=profile if config.use_profile else None,
+            )
+        stats.candidates = len(candidates)
 
+        with timing.span("chains", BUCKET_CHAINS, category="sign-ext"):
+            chains = Chains(func)
 
-def _run_phase3(
-    func: Function,
-    config: SignExtConfig,
-    profile: BranchProfile | None,
-    timing: Timing,
-    stats: FunctionStats,
-    telemetry: Telemetry | None,
-) -> FunctionStats:
-    import contextlib
+        with timing.span("elimination", BUCKET_SIGN_EXT, category="sign-ext"):
+            eliminator = Eliminator(func, chains, config, telemetry=telemetry)
+            for ext in candidates:
+                if eliminator.try_eliminate(ext):
+                    stats.eliminated += 1
+                    stats.eliminated_by_width[EXTEND_BITS[ext.opcode]] += 1
+            remove_dummy_markers(func)
 
-    def span(name: str):
-        if telemetry is None:
-            return contextlib.nullcontext()
-        return telemetry.span(name, category="sign-ext")
-
-    start = time.perf_counter()
-    with span("insertion"):
-        stats.dummies = insert_dummy_markers(func)
-        if config.insert:
-            if config.insert_pde:
-                stats.inserted = run_pde_insertion(func, config.traits)
-            else:
-                stats.inserted = insert_before_requiring_uses(
-                    func, config.traits
-                )
-    with span("ordering"):
-        candidates = order_candidates(
-            func,
-            use_order=config.order,
-            profile=profile if config.use_profile else None,
-        )
-    stats.candidates = len(candidates)
-    timing.add(BUCKET_SIGN_EXT, time.perf_counter() - start)
-
-    start = time.perf_counter()
-    with span("chains"):
-        chains = Chains(func)
-    timing.add(BUCKET_CHAINS, time.perf_counter() - start)
-
-    start = time.perf_counter()
-    with span("elimination"):
-        eliminator = Eliminator(func, chains, config, telemetry=telemetry)
-        from ..ir.opcodes import EXTEND_BITS
-
-        for ext in candidates:
-            if eliminator.try_eliminate(ext):
-                stats.eliminated += 1
-                stats.eliminated_by_width[EXTEND_BITS[ext.opcode]] += 1
-        remove_dummy_markers(func)
-    timing.add(BUCKET_SIGN_EXT, time.perf_counter() - start)
+    if telemetry is not None:
+        _record_phase3_metrics(stats, config, telemetry)
     return stats
 
 

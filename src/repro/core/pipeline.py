@@ -13,16 +13,16 @@ pure function of ``(source, config, profiles)`` — no global state, no
 I/O — which is what lets :mod:`repro.driver` memoize it in a
 content-addressed cache and fan it out over worker processes.
 
-Pass ``telemetry=`` a :class:`~repro.telemetry.Telemetry` object to
-additionally record a span per phase and per optimization pass, static
-extension counters, and one decision record per elimination candidate.
-Telemetry is opt-in; when absent no recording happens at all.
+Every phase and optimization pass is one :meth:`repro.opt.Timing.span`
+region feeding a Table-3 bucket.  Pass ``telemetry=`` a
+:class:`~repro.telemetry.Telemetry` object and the same regions also
+become spans, plus static extension counters and one decision record
+per elimination candidate.  Telemetry is opt-in; when absent no
+recording happens at all.
 """
 
 from __future__ import annotations
 
-import contextlib
-import time
 from dataclasses import dataclass, field
 
 from ..analysis.frequency import BranchProfile
@@ -52,13 +52,13 @@ from .first_algorithm import run_first_algorithm
 #: Figure 5 step 2, as named passes (one span each when tracing).  The
 #: second copy-propagation round cleans up after CSE/LICM, as before.
 GENERAL_PASSES = [
-    Pass("constant-fold", fold_constants, BUCKET_OTHERS),
-    Pass("simplify", simplify, BUCKET_OTHERS),
-    Pass("copy-prop", propagate_copies, BUCKET_OTHERS),
-    Pass("gcse", eliminate_common_subexpressions, BUCKET_OTHERS),
-    Pass("licm", hoist_loop_invariants, BUCKET_OTHERS),
-    Pass("copy-prop-cleanup", propagate_copies, BUCKET_OTHERS),
-    Pass("dce", eliminate_dead_code, BUCKET_OTHERS),
+    Pass("constant-fold", fold_constants),
+    Pass("simplify", simplify),
+    Pass("copy-prop", propagate_copies),
+    Pass("gcse", eliminate_common_subexpressions),
+    Pass("licm", hoist_loop_invariants),
+    Pass("copy-prop-cleanup", propagate_copies),
+    Pass("dce", eliminate_dead_code),
 ]
 
 
@@ -76,16 +76,12 @@ class CompileResult:
 
     @property
     def static_extend_count(self) -> int:
-        return _count_static_extends(self.program)
+        return _count_static_extends(self.program.functions.values())
 
 
-def _count_static_extends(program: Program) -> int:
-    total = 0
-    for func in program.functions.values():
-        for _, instr in func.instructions():
-            if instr.opcode in EXTEND_OPS:
-                total += 1
-    return total
+def _count_static_extends(functions) -> int:
+    return sum(instr.opcode in EXTEND_OPS
+               for func in functions for _, instr in func.instructions())
 
 
 def compile_ir(
@@ -98,39 +94,30 @@ def compile_ir(
 ) -> CompileResult:
     """Compile a 32-bit-form program to 64-bit machine form."""
     program = clone_program(source) if clone else source
-    timing = Timing()
+    tracer = telemetry.tracer if telemetry is not None else None
+    timing = Timing(tracer=tracer)
 
-    compile_span = (telemetry.span("compile", program=program.name)
-                    if telemetry is not None else contextlib.nullcontext())
-    with compile_span:
+    with timing.span("compile", program=program.name):
         if config.general_opts:
             # Method inlining runs whole-program, pre-conversion, and is
             # deterministic so the profiler's inlined copy has matching
             # block labels (see repro.opt.inline).
-            start = time.perf_counter()
-            if telemetry is not None:
-                with telemetry.span("inline", category="pass"):
-                    inline_small_functions(program)
-            else:
+            with timing.span("inline", BUCKET_OTHERS, category="pass"):
                 inline_small_functions(program)
-            timing.add(BUCKET_OTHERS, time.perf_counter() - start)
 
         stats: dict[str, FunctionStats] = {}
         for func in program.functions.values():
-            profile = (profiles or {}).get(func.name)
-            if telemetry is not None:
-                with telemetry.span(f"function:{func.name}"):
-                    stats[func.name] = _compile_function(
-                        func, config, profile, timing, telemetry
-                    )
-            else:
+            with timing.span(f"function:{func.name}"):
                 stats[func.name] = _compile_function(
-                    func, config, profile, timing, None
+                    func, config, (profiles or {}).get(func.name), timing,
+                    telemetry,
                 )
+    # Results cross process boundaries and land in the compile cache.
+    timing.tracer = None
 
     if telemetry is not None:
         telemetry.counter("compile.static_extends.after").inc(
-            _count_static_extends(program)
+            _count_static_extends(program.functions.values())
         )
         telemetry.counter("compile.functions").inc(len(program.functions))
         telemetry.counter("compile.eliminated.total").inc(
@@ -146,49 +133,29 @@ def _compile_function(
     timing: Timing,
     telemetry: Telemetry | None,
 ) -> FunctionStats:
-    start = time.perf_counter()
-    if telemetry is not None:
-        with telemetry.span("convert64"):
-            convert_function(func, config.traits, config.placement)
-    else:
+    with timing.span("convert64", BUCKET_OTHERS):
         convert_function(func, config.traits, config.placement)
-    timing.add(BUCKET_OTHERS, time.perf_counter() - start)
 
     if telemetry is not None:
         # Static extension count as conversion produced it, before any
         # optimization touches the function (the "before" of the
         # before/after pair).
-        count = sum(1 for _, i in func.instructions()
-                    if i.opcode in EXTEND_OPS)
-        telemetry.counter("compile.static_extends.before").inc(count)
+        telemetry.counter("compile.static_extends.before").inc(
+            _count_static_extends([func]))
 
     if config.general_opts:
-        _run_general_opts(func, timing, telemetry)
+        # Figure 5 step 2.  Two rounds are enough in practice.
+        with timing.span("general-opts", function=func.name):
+            PassManager(GENERAL_PASSES, timing).run_to_fixpoint(
+                func, max_rounds=2)
 
     if config.algorithm is Algorithm.NONE:
         return FunctionStats(name=func.name)
     if config.algorithm is Algorithm.BWD_FLOW:
-        start = time.perf_counter()
-        if telemetry is not None:
-            with telemetry.span("first-algorithm"):
-                removed = run_first_algorithm(func, config.traits)
-        else:
+        with timing.span("first-algorithm", BUCKET_SIGN_EXT):
             removed = run_first_algorithm(func, config.traits)
-        timing.add(BUCKET_SIGN_EXT, time.perf_counter() - start)
         stats = FunctionStats(name=func.name, eliminated=removed)
         stats.eliminated_by_width[32] = removed
         return stats
     return run_sign_extension_elimination(func, config, profile, timing,
                                           telemetry)
-
-
-def _run_general_opts(func: Function, timing: Timing,
-                      telemetry: Telemetry | None) -> None:
-    """Figure 5 step 2.  Two rounds are enough in practice."""
-    tracer = telemetry.tracer if telemetry is not None else None
-    manager = PassManager(GENERAL_PASSES, timing, tracer=tracer)
-    if tracer is not None:
-        with tracer.span("general-opts", function=func.name):
-            manager.run_to_fixpoint(func, max_rounds=2)
-    else:
-        manager.run_to_fixpoint(func, max_rounds=2)

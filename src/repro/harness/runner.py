@@ -27,7 +27,7 @@ from ..interp import execute
 from ..interp.profiler import collect_branch_profiles
 from ..machine.costs import CycleReport, count_cycles
 from ..machine.model import IA64, MachineTraits
-from ..opt.pass_manager import BUCKET_KEYS, Timing
+from ..opt.pass_manager import Timing
 from ..workloads import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a cycle
@@ -192,10 +192,8 @@ def _record_cell(recorder: "PerfRecorder", cell: CellResult, *,
                  execute_seconds: float, metrics,
                  repeat_index: int) -> None:
     """Emit one perf-history record for a measured cell."""
-    phases = {
-        key: cell.timing.seconds.get(bucket, 0.0)
-        for bucket, key in BUCKET_KEYS.items()
-    }
+    phases = cell.timing.as_dict()
+    del phases["total"]
     phases["execute"] = execute_seconds
     counters: dict[str, int] = {}
     if metrics is not None:

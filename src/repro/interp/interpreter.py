@@ -26,14 +26,14 @@ import math
 import struct
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ir.function import Function, Program
 from ..ir.instruction import Instr
 from ..ir.opcodes import Cond, Opcode
 from ..ir.types import ScalarType, low32, sign_extend, wrap_u64
 from ..machine.model import IA64, LoadExt, MachineTraits
-from .memory import ArrayObject, FuelExhausted, Heap, MemoryFault, Trap
+from .memory import FuelExhausted, Heap, MemoryFault, Trap
 
 U64 = 0xFFFF_FFFF_FFFF_FFFF
 _FNV_PRIME = 1099511628211
@@ -93,15 +93,6 @@ class ExecResult:
     def observable(self) -> tuple[int, int | float | None]:
         """The behaviour that must be preserved by optimization."""
         return (self.checksum, self.ret_value)
-
-
-@dataclass
-class _Frame:
-    func: Function
-    regs: dict[str, int | float]
-    block_label: str
-    position: int
-    ret_dest: str | None  # register name in the caller
 
 
 class Interpreter:

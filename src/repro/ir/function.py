@@ -6,7 +6,6 @@ from collections.abc import Iterator
 
 from .block import Block
 from .instruction import FuncSig, Global, Instr, VReg
-from .opcodes import Opcode
 from .types import ScalarType
 
 
@@ -121,13 +120,6 @@ class Function:
         for block in self.blocks:
             for instr in block.instrs:
                 yield block, instr
-
-    def count_instrs(self, opcode: Opcode | None = None) -> int:
-        total = 0
-        for _, instr in self.instructions():
-            if opcode is None or instr.opcode is opcode:
-                total += 1
-        return total
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Function {self.name}{self.sig} ({len(self.blocks)} blocks)>"

@@ -16,7 +16,7 @@ Design notes
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .opcodes import OP_INFO, Cond, Opcode, OpInfo, Role
 from .types import ScalarType
@@ -33,10 +33,6 @@ class VReg:
 
     def __str__(self) -> str:
         return f"%{self.name}"
-
-    @property
-    def is_narrow(self) -> bool:
-        return self.type.is_narrow_int
 
 
 class Instr:

@@ -292,26 +292,10 @@ class Cond(enum.Enum):
     def is_unsigned(self) -> bool:
         return self in (Cond.ULT, Cond.ULE, Cond.UGT, Cond.UGE)
 
-    def negate(self) -> "Cond":
-        return _NEGATED[self]
-
     def swap(self) -> "Cond":
         """Condition equivalent after swapping the two operands."""
         return _SWAPPED[self]
 
-
-_NEGATED = {
-    Cond.EQ: Cond.NE,
-    Cond.NE: Cond.EQ,
-    Cond.LT: Cond.GE,
-    Cond.LE: Cond.GT,
-    Cond.GT: Cond.LE,
-    Cond.GE: Cond.LT,
-    Cond.ULT: Cond.UGE,
-    Cond.ULE: Cond.UGT,
-    Cond.UGT: Cond.ULE,
-    Cond.UGE: Cond.ULT,
-}
 
 _SWAPPED = {
     Cond.EQ: Cond.EQ,

@@ -30,7 +30,7 @@ from .block import Block
 from .builder import _BIN_RESULT, _UN_RESULT
 from .function import Function, Program
 from .instruction import FuncSig, Instr, VReg
-from .opcodes import Cond, OP_INFO, Opcode
+from .opcodes import Cond, Opcode
 from .types import ScalarType
 
 _SCALARS = {t.value: t for t in ScalarType}
@@ -80,14 +80,6 @@ def parse_program(text: str) -> Program:
             continue
         raise IRParseError(f"unexpected line: {line!r}")
     return program
-
-
-def parse_function_text(text: str) -> Function:
-    """Parse a single function (no ``program`` header required)."""
-    program = parse_program(text)
-    if len(program.functions) != 1:
-        raise IRParseError("expected exactly one function")
-    return next(iter(program.functions.values()))
 
 
 def _strip(line: str) -> str:

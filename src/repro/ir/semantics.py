@@ -275,23 +275,6 @@ def propagates_canonical(opcode: Opcode) -> bool:
     return opcode is Opcode.MOV or opcode in BITWISE_OPS
 
 
-def propagates_upper_zero(instr: Instr, index_known_zero: list[bool]) -> bool:
-    """Upper-32-zero propagation through copies and bitwise ops.
-
-    ``index_known_zero[i]`` states whether source ``i`` is known
-    upper-32-zero; returns whether the destination is then guaranteed
-    upper-32-zero.
-    """
-    opcode = instr.opcode
-    if opcode is Opcode.MOV:
-        return bool(index_known_zero and index_known_zero[0])
-    if opcode is Opcode.AND32:
-        return any(index_known_zero)
-    if opcode in (Opcode.OR32, Opcode.XOR32):
-        return len(index_known_zero) == 2 and all(index_known_zero)
-    return False
-
-
 def use_read_bits(instr: Instr, index: int) -> int:
     """How many low bits an IGNORES_HIGH use actually reads.
 
@@ -311,12 +294,3 @@ def use_read_bits(instr: Instr, index: int) -> int:
     if opcode in (Opcode.EXTEND16, Opcode.ZEXT16):
         return 16
     return 32
-
-
-def requires_canonical_anywhere(instr: Instr, traits: MachineTraits) -> bool:
-    """True when some narrow operand of ``instr`` REQUIRES a canonical
-    value (used by gen-use conversion and by insertion)."""
-    for index in range(len(instr.srcs)):
-        if classify_use(instr, index, traits) is UseKind.REQUIRES:
-            return True
-    return False

@@ -24,16 +24,8 @@ class ScalarType(enum.Enum):
     REF = "ref"  # array reference
 
     @property
-    def is_int(self) -> bool:
-        return self in _INT_TYPES
-
-    @property
     def is_float(self) -> bool:
         return self is ScalarType.F64
-
-    @property
-    def is_ref(self) -> bool:
-        return self is ScalarType.REF
 
     @property
     def is_narrow_int(self) -> bool:
@@ -54,9 +46,6 @@ class ScalarType(enum.Enum):
         return f"ScalarType.{self.name}"
 
 
-_INT_TYPES = frozenset(
-    {ScalarType.I8, ScalarType.I16, ScalarType.I32, ScalarType.I64, ScalarType.U16}
-)
 _NARROW_INT_TYPES = frozenset(
     {ScalarType.I8, ScalarType.I16, ScalarType.I32, ScalarType.U16}
 )

@@ -34,12 +34,6 @@ PURE_OPS = frozenset(
 # Deliberately excluded: DIV/REM (can trap), FSQRT/FSIN/... (keep code
 # motion focused), loads (not pure), CONST (rematerialized by folding).
 
-#: Pure but trapping or expensive ops: CSE-able where available, but not
-#: speculated by loop-invariant code motion.
-NO_SPECULATE = frozenset(
-    {Opcode.DIV32, Opcode.REM32, Opcode.DIV64, Opcode.REM64}
-)
-
 
 @dataclass(frozen=True)
 class ExprKey:

@@ -1,19 +1,19 @@
-"""Pass pipeline with per-bucket timing (for the paper's Table 3).
+"""Pass pipeline and the one compile-time recorder (the paper's Table 3).
 
 The paper buckets JIT compilation time into "sign extension
-optimizations", "UD/DU chain creation", and "others"; passes here
-declare their bucket so the harness can reproduce that breakdown.
-
-When a :class:`~repro.telemetry.tracer.Tracer` is attached, every pass
-execution additionally becomes one span in the pipeline trace.
+optimizations", "UD/DU chain creation", and "others".  Every timed
+compiler region is one ``with timing.span(name, bucket)``, which reads
+the clock once per edge and adds the region to its bucket.  Only when
+the :class:`Timing` carries a tracer (``compile_ir`` attaches one under
+telemetry) is the region also a span of the pipeline trace.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from time import perf_counter
+from typing import TYPE_CHECKING, Any
 
 from ..ir.function import Function
 
@@ -38,9 +38,49 @@ BUCKET_KEYS = {
 
 @dataclass
 class Pass:
+    """One general optimization; its time counts as "others"."""
+
     name: str
     run: PassFn
-    bucket: str = BUCKET_OTHERS
+
+
+class _NullSpan:
+    """What an untraced region yields: annotations go nowhere."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        pass
+
+    def annotate(self, **args: Any) -> None:
+        pass
+
+
+_NULL_SPAN = _NullSpan()
+
+
+class _TimedRegion:
+    """A region whose wall time is added to one bucket on exit, even
+    when it raises."""
+
+    __slots__ = ("_timing", "_bucket", "_traced", "_start")
+
+    def __init__(self, timing: "Timing", bucket: str, traced) -> None:
+        self._timing = timing
+        self._bucket = bucket
+        self._traced = traced
+
+    def __enter__(self):
+        span = self._traced.__enter__()
+        self._start = perf_counter()
+        return span
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._timing.add(self._bucket, perf_counter() - self._start)
+        self._traced.__exit__(*exc_info)
 
 
 @dataclass
@@ -48,13 +88,25 @@ class Timing:
     """Accumulated wall-clock seconds per bucket."""
 
     seconds: dict[str, float] = field(default_factory=dict)
+    #: Attached only while a traced compile runs; never part of a result.
+    tracer: "Tracer | None" = field(default=None, repr=False, compare=False)
+
+    def span(self, name: str, bucket: str | None = None,
+             category: str = "pipeline", **args: Any):
+        """Time one region; use as a context manager.
+
+        Its wall time goes to ``bucket`` (a bucket-less region only
+        groups others in the trace).  It yields the tracer's span, or
+        a shared no-op one when no tracer is attached.
+        """
+        traced = (self.tracer.span(name, category, **args)
+                  if self.tracer is not None else _NULL_SPAN)
+        if bucket is None:
+            return traced
+        return _TimedRegion(self, bucket, traced)
 
     def add(self, bucket: str, elapsed: float) -> None:
         self.seconds[bucket] = self.seconds.get(bucket, 0.0) + elapsed
-
-    def merge(self, other: "Timing") -> None:
-        for bucket, elapsed in other.seconds.items():
-            self.add(bucket, elapsed)
 
     def total(self) -> float:
         return sum(self.seconds.values())
@@ -80,27 +132,21 @@ class Timing:
 
 
 class PassManager:
-    """Runs a fixed pipeline over one function, recording timing."""
+    """Runs a fixed pipeline over one function, timing every pass."""
 
-    def __init__(self, passes: list[Pass], timing: Timing | None = None,
-                 tracer: "Tracer | None" = None) -> None:
+    def __init__(self, passes: list[Pass],
+                 timing: Timing | None = None) -> None:
         self.passes = passes
         self.timing = timing if timing is not None else Timing()
-        self.tracer = tracer
 
     def run(self, func: Function) -> bool:
         changed = False
         for pass_ in self.passes:
-            start = time.perf_counter()
-            if self.tracer is not None:
-                with self.tracer.span(pass_.name, category="pass",
-                                      function=func.name) as span:
-                    result = bool(pass_.run(func))
-                    span.annotate(changed=result)
-            else:
+            with self.timing.span(pass_.name, BUCKET_OTHERS, category="pass",
+                                  function=func.name) as span:
                 result = bool(pass_.run(func))
+                span.annotate(changed=result)
             changed |= result
-            self.timing.add(pass_.bucket, time.perf_counter() - start)
         return changed
 
     def run_to_fixpoint(self, func: Function, max_rounds: int = 4) -> None:

@@ -13,8 +13,8 @@ an append-only timeseries instead of a write-once snapshot:
   counts, machine-readable ``improved``/``regressed``/``neutral``
   verdicts;
 * :mod:`~repro.perf.recorder` — the single hook (``PerfRecorder``)
-  through which the harness, the engine benchmark, the paper-figure
-  suites, and the CLI all emit records;
+  through which the harness (and so ``repro perf record``), the
+  paper-figure suites, and the load tester all emit records;
 * :mod:`~repro.perf.report` — the self-contained single-file HTML
   dashboard and the terminal summary;
 * :mod:`~repro.perf.grid` — the fixed recording grid behind

@@ -1,16 +1,17 @@
 """The perf timeseries record: one benchmark cell, one schema'd row.
 
-Every benchmark execution in the repo — a harness grid cell, an engine
-benchmark repeat, a paper-figure suite run in ``benchmarks/`` — lands
-in the same append-only history as one :class:`RunRecord`.  A record
+Every benchmark execution in the repo — a harness grid cell (engine
+comparisons are ``repro perf record --engines reference closure``), a
+paper-figure suite run in ``benchmarks/`` — lands in the same
+append-only history as one :class:`RunRecord`.  A record
 captures everything needed to compare it against any other run of the
 same cell:
 
 * the **cell key** ``(workload, machine, variant, engine)`` — what was
   measured;
 * **per-phase wall times** (the compile buckets of
-  :class:`~repro.opt.pass_manager.Timing` plus the ``execute`` phase,
-  and ``translate`` where the closure engine paid it);
+  :class:`~repro.opt.pass_manager.Timing` plus the ``execute`` phase;
+  older histories may also carry a ``translate`` phase);
 * **deterministic measures** (dynamic extension counts per width,
   static extensions, interpreter steps, modelled cycles) — these are
   pure functions of the code and must reproduce exactly on any host;
@@ -69,15 +70,15 @@ class RunRecord:
     engine: str
     #: target machine model (``ia64``/``ppc64``) — not the host
     machine: str
-    #: which producer emitted this record (``harness``,
-    #: ``engine-bench``, ``benchmarks``, ``cli``, ...)
+    #: which producer emitted this record (``cli``, ``benchmarks``,
+    #: ``loadtest``, ...)
     source: str
     fuel: int
     #: repeat index within one recording run; min-of-repeats happens at
     #: compare time across records sharing (run_id, key)
     repeat: int = 0
     #: seconds per phase: the Timing buckets (``sign_ext``, ``chains``,
-    #: ``others``) plus ``execute`` and optionally ``translate``
+    #: ``others``) plus ``execute`` (older records: also ``translate``)
     phases: dict[str, float] = field(default_factory=dict)
     #: deterministic measures (see DETERMINISTIC_MEASURES) + floats
     #: such as ``cycles``/``extend_cycles``

@@ -1,9 +1,9 @@
 """The one hook every benchmark producer emits perf records through.
 
-The harness (:func:`repro.harness.measure_workload`), the engine
-benchmark (:mod:`repro.interp.benchmark`), the paper-figure suites
-(``benchmarks/conftest.py``), and ``repro perf record`` all take an
-optional :class:`PerfRecorder`; when present, every bench cell lands in
+The harness (:func:`repro.harness.measure_workload`, which ``repro perf
+record`` drives for every grid cell, engine comparisons included), the
+paper-figure suites (``benchmarks/conftest.py``), and the load tester
+all take an optional :class:`PerfRecorder`; when present, every bench cell lands in
 the recorder's :class:`~repro.perf.store.HistoryStore` as one
 :class:`~repro.perf.record.RunRecord`.  One hook means one timeseries:
 a paper-table regeneration and a CI gate run are directly comparable

@@ -2,6 +2,8 @@
 
 import time
 
+import pytest
+
 from repro.ir import Cond, Instr, Opcode, ScalarType, VReg
 from repro.opt import (
     BUCKET_CHAINS,
@@ -14,6 +16,7 @@ from repro.opt import (
     is_idempotent_self_extend,
     kills_expr,
 )
+from repro.telemetry import Tracer
 
 
 def _r(name, t=ScalarType.I32):
@@ -78,15 +81,61 @@ class TestTiming:
         assert exported["others"] == 0.0
         assert exported["total"] == 1.0
 
-    def test_merge(self):
-        a = Timing({BUCKET_OTHERS: 1.0})
-        b = Timing({BUCKET_OTHERS: 2.0, BUCKET_CHAINS: 1.0})
-        a.merge(b)
-        assert a.seconds[BUCKET_OTHERS] == 3.0
-        assert a.seconds[BUCKET_CHAINS] == 1.0
-
     def test_empty_fraction(self):
         assert Timing().fraction(BUCKET_OTHERS) == 0.0
+
+    def test_span_adds_to_its_bucket_untraced(self):
+        timing = Timing()
+        with timing.span("region", BUCKET_CHAINS) as span:
+            span.annotate(changed=True)  # a no-op without a tracer
+            time.sleep(0.001)
+        assert timing.seconds[BUCKET_CHAINS] >= 0.001
+
+    def test_span_adds_to_its_bucket_traced(self):
+        tracer = Tracer()
+        timing = Timing(tracer=tracer)
+        with timing.span("group", function="f"):
+            with timing.span("region", BUCKET_SIGN_EXT,
+                             category="sign-ext") as span:
+                span.annotate(changed=True)
+                time.sleep(0.001)
+        assert set(timing.seconds) == {BUCKET_SIGN_EXT}
+        assert timing.seconds[BUCKET_SIGN_EXT] >= 0.001
+        [group] = tracer.roots
+        assert (group.name, group.category, group.args) == (
+            "group", "pipeline", {"function": "f"})
+        [region] = group.children
+        assert (region.name, region.category, region.args) == (
+            "region", "sign-ext", {"changed": True})
+        assert region.duration_us >= 1000
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_bucketless_span_adds_nothing(self, traced):
+        timing = Timing(tracer=Tracer() if traced else None)
+        with timing.span("group"):
+            time.sleep(0.001)
+        assert timing.seconds == {}
+
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_raising_region_still_adds_and_closes(self, traced):
+        tracer = Tracer() if traced else None
+        timing = Timing(tracer=tracer)
+        with pytest.raises(RuntimeError):
+            with timing.span("region", BUCKET_OTHERS):
+                time.sleep(0.001)
+                raise RuntimeError("boom")
+        assert timing.seconds[BUCKET_OTHERS] >= 0.001
+        if traced:
+            with timing.span("next"):
+                pass
+            # The failed region was closed: the next span is a sibling.
+            assert [root.name for root in tracer.roots] == ["region", "next"]
+            assert tracer.roots[0].duration_us >= 1000
+
+    def test_tracer_is_not_part_of_the_value(self):
+        traced = Timing({BUCKET_OTHERS: 1.0}, tracer=Tracer())
+        assert traced == Timing({BUCKET_OTHERS: 1.0})
+        assert "tracer" not in repr(traced)
 
 
 class TestPassManager:
@@ -98,7 +147,7 @@ class TestPassManager:
             time.sleep(0.001)
             return False
 
-        manager = PassManager([Pass("p", slow_pass, BUCKET_OTHERS)])
+        manager = PassManager([Pass("p", slow_pass)])
         from tests.conftest import make_fig7_program
 
         func = make_fig7_program(3).main

@@ -3,16 +3,58 @@
 import dataclasses
 import json
 
+import pytest
+
 from repro.core import VARIANTS, compile_ir
 from repro.interp import Interpreter
+from repro.opt import BUCKET_CHAINS, BUCKET_OTHERS, BUCKET_SIGN_EXT
 from repro.telemetry import Telemetry, validate_telemetry_document
+from repro.telemetry import tracer as tracer_module
 from tests.conftest import make_fig7_program
 
 FULL_CFG = VARIANTS["new algorithm (all)"]
 
+_PASSES = ("constant-fold", "simplify", "copy-prop", "gcse", "licm",
+           "copy-prop-cleanup", "dce")
+#: (depth, name, category, sorted arg keys) of every span, depth first,
+#: for make_fig7_program(8); the general opts run both rounds there.
+_TREE_HEAD = [
+    (0, "compile", "pipeline", ["program"]),
+    (1, "inline", "pass", []),
+    (1, "function:main", "pipeline", []),
+    (2, "convert64", "pipeline", []),
+    (2, "general-opts", "pipeline", ["function"]),
+] + [(3, name, "pass", ["changed", "function"]) for name in _PASSES] * 2
+_PHASE3_TREE = [
+    (2, "sign-ext", "pipeline", ["function"]),
+    (3, "insertion", "sign-ext", []),
+    (3, "ordering", "sign-ext", []),
+    (3, "chains", "sign-ext", []),
+    (3, "elimination", "sign-ext", []),
+]
+PINNED_TREES = {
+    "new algorithm (all)": _TREE_HEAD + _PHASE3_TREE,
+    "first algorithm (bwd flow)": _TREE_HEAD + [
+        (2, "first-algorithm", "pipeline", [])],
+    "all, using PDE": _TREE_HEAD + _PHASE3_TREE,
+}
+
 
 def _span_names(telemetry):
     return [span.name for span in telemetry.tracer.walk()]
+
+
+def _span_tree(telemetry):
+    rows = []
+
+    def visit(span, depth):
+        rows.append((depth, span.name, span.category, sorted(span.args)))
+        for child in span.children:
+            visit(child, depth + 1)
+
+    for root in telemetry.tracer.roots:
+        visit(root, 0)
+    return rows
 
 
 class TestSpans:
@@ -32,6 +74,18 @@ class TestSpans:
         for pass_name in ("constant-fold", "simplify", "copy-prop", "gcse",
                           "licm", "copy-prop-cleanup", "dce"):
             assert pass_name in names, f"missing pass span {pass_name!r}"
+
+    @pytest.mark.parametrize("variant", sorted(PINNED_TREES))
+    def test_span_tree_is_pinned(self, variant):
+        telemetry = Telemetry()
+        compile_ir(make_fig7_program(8), VARIANTS[variant],
+                   telemetry=telemetry)
+        assert _span_tree(telemetry) == PINNED_TREES[variant]
+
+    def test_tracer_is_detached_from_the_result(self):
+        compiled = compile_ir(make_fig7_program(8), FULL_CFG,
+                              telemetry=Telemetry())
+        assert compiled.timing.tracer is None
 
     def test_spans_nest_under_compile(self):
         telemetry = Telemetry()
@@ -100,6 +154,27 @@ class TestDisabledTelemetry:
                 assert dataclasses.asdict(stats) == dataclasses.asdict(
                     traced.function_stats[func_name]
                 ), f"{name}/{func_name} stats diverged"
+
+    def test_no_span_constructed_when_off(self, monkeypatch):
+        """Zero overhead when off: no Span object exists, yet every
+        Table-3 bucket is still timed."""
+        created = []
+
+        class CountingSpan(tracer_module.Span):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                created.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tracer_module, "Span", CountingSpan)
+        compiled = compile_ir(make_fig7_program(8), FULL_CFG)
+        assert created == []
+        for bucket in (BUCKET_SIGN_EXT, BUCKET_CHAINS, BUCKET_OTHERS):
+            assert compiled.timing.seconds.get(bucket, 0.0) > 0, bucket
+        # The counter does see the spans of a traced compile.
+        compile_ir(make_fig7_program(8), FULL_CFG, telemetry=Telemetry())
+        assert len(created) == len(PINNED_TREES["new algorithm (all)"])
 
     def test_compile_result_telemetry_is_none_by_default(self):
         compiled = compile_ir(make_fig7_program(8), FULL_CFG)

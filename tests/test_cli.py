@@ -397,6 +397,31 @@ class TestErrorPaths:
         assert errors == [
             f"repro: error: unrecognized arguments: {' '.join(argv[1:])}"]
 
+    @pytest.mark.parametrize("argv", [
+        ["compile", "FILE", "--jobs", "0"],
+        ["bench", "huffman", "--jobs", "0"],
+        ["report", "--jobs", "0"],
+        ["fuzz", "--jobs", "0"],
+        ["perf", "record", "--jobs", "0"],
+        ["serve", "--workers", "0"],
+        ["loadtest", "--spawn", "--workers", "0"],
+        ["serve", "--port", "99999"],
+        ["perf", "record", "--workloads", "nope"],
+    ], ids=["compile-jobs", "bench-jobs", "report-jobs", "fuzz-jobs",
+            "perf-record-jobs", "serve-workers", "loadtest-workers",
+            "serve-port", "perf-record-workloads"])
+    def test_out_of_range_value_is_usage_error(self, source_file, argv,
+                                               capsys):
+        argv = [source_file if arg == "FILE" else arg for arg in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1, err
+        assert f"argument {argv[-2]}: " in errors[0]
+
 
 class TestCacheCommand:
     def test_stats_prune_clear(self, tmp_path, capsys):
