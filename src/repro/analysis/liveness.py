@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from ..ir.function import Function
-from ..ir.instruction import Instr
 from .dataflow import DataflowProblem, Direction, Meet
 
 
 class Liveness:
-    """Live-register sets at block boundaries and instruction queries."""
+    """Live-register sets at block boundaries."""
 
     def __init__(self, func: Function) -> None:
         self.func = func
@@ -54,18 +53,3 @@ class Liveness:
         if bit is None:
             return False
         return bool(self.live_out(block_label) & (1 << bit))
-
-    def live_after(self, block_label: str, position: int) -> int:
-        """Live set immediately after instruction ``position`` in block."""
-        block = self.func.block(block_label)
-        live = self.live_out(block_label)
-        for instr in reversed(block.instrs[position + 1:]):
-            live = self._step(instr, live)
-        return live
-
-    def _step(self, instr: Instr, live_after: int) -> int:
-        if instr.dest is not None:
-            live_after &= ~(1 << self.index_of[instr.dest.name])
-        for src in instr.srcs:
-            live_after |= 1 << self.index_of[src.name]
-        return live_after

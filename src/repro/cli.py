@@ -17,8 +17,13 @@ Usage::
                                  --fail-on-regression 10%
     python -m repro perf report --out perf-report.html   # SVG dashboard
 
-Every subcommand builds one :class:`repro.CompileOptions` from its
-flags (`CompileOptions.from_cli_args`) and goes through the
+Every flag is declared once, in :data:`FLAGS`, and every subcommand is
+one row of :data:`COMMANDS` naming its flags.  A flag whose ``dest`` is
+a config field has no default of its own: when it is not typed it is
+absent from the namespace, and :func:`_config` builds the config
+(:class:`repro.CompileOptions`, ``CampaignConfig``, ``ServerConfig``,
+``LoadtestConfig`` or ``TopConfig``) from the fields that were typed, so
+the dataclass supplies every default.  Handlers go through the
 :mod:`repro.api` facade; ``--jobs N`` fans compilation out over worker
 processes and ``--cache`` reuses prior compilations from the
 content-addressed cache (``--cache-dir``, default ``~/.cache/repro``).
@@ -29,13 +34,15 @@ Every optimized execution is checked against the unoptimized gold run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
+from typing import Iterable
 
 from . import api
-from .core import DEFAULT_VARIANT, VARIANTS
-from .core.config import DEFAULT_ENGINE, ENGINE_CHOICES, CompileOptions
+from .core import VARIANTS
+from .core.config import ENGINE_CHOICES, CompileOptions
 from .frontend import compile_source
 from .frontend.errors import SourceError
 from .ir import format_program
@@ -68,48 +75,33 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
-def _common_args(parser: argparse.ArgumentParser, *,
-                 telemetry: bool = False, driver: bool = False) -> None:
-    parser.add_argument("--variant", default=DEFAULT_VARIANT,
-                        choices=sorted(VARIANTS),
-                        help="optimization variant (a Table 1/2 row)")
-    parser.add_argument("--machine", default="ia64",
-                        choices=sorted(MACHINES), help="target traits")
-    parser.add_argument("--fuel", type=int, default=100_000_000,
-                        help="interpreter step budget")
-    if telemetry:
-        parser.add_argument("--telemetry", default=None, metavar="OUT.JSON",
-                            help="write the full telemetry document "
-                                 "(spans, metrics, decision log) here")
-    if driver:
-        _driver_args(parser)
+def _given(args: argparse.Namespace, names: Iterable[str]) -> dict:
+    """The config fields among ``names`` that the command line set.
+
+    Config-backed flags default to ``argparse.SUPPRESS``, so a field is
+    in ``args`` only when its flag was typed.  Lists (``nargs="+"``,
+    ``action="append"``) become tuples.
+    """
+    values = vars(args)
+    return {
+        name: tuple(values[name]) if isinstance(values[name], list)
+        else values[name]
+        for name in names if name in values
+    }
 
 
-def _engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", default=None, choices=ENGINE_CHOICES,
-                        help="execution engine: pre-translated closure "
-                             "code (default), the reference interpreter, "
-                             "or both with a parity cross-check")
+def _config(cls, args: argparse.Namespace, **values):
+    """A ``cls`` dataclass from the typed flags, overridden by ``values``;
+    every other field keeps the dataclass default."""
+    fields = (field.name for field in dataclasses.fields(cls))
+    return cls(**{**_given(args, fields), **values})
 
 
-def _driver_args(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("batch driver")
-    group.add_argument("--jobs", type=_int_in(1), default=1, metavar="N",
-                       help="compile over N worker processes")
-    group.add_argument("--cache", action="store_true",
-                       help="reuse compilations from the compile cache")
-    group.add_argument("--cache-dir", default=None, metavar="DIR",
-                       help="cache location (default ~/.cache/repro)")
-    group.add_argument("--cache-max-bytes", type=int, default=None,
-                       metavar="N",
-                       help="byte budget for the on-disk cache tier "
-                            "(oldest entries evicted; also honours "
-                            "$REPRO_CACHE_MAX_BYTES)")
-    group.add_argument("--timeout", type=float, default=None, metavar="SEC",
-                       help="per-job pool timeout before in-process "
-                            "fallback")
-    group.add_argument("--stats", default=None, metavar="OUT.JSON",
-                       help="write driver cache/pool counters here")
+def _options(args: argparse.Namespace) -> CompileOptions:
+    """The command's :class:`CompileOptions`.  ``--telemetry`` names an
+    output file; typing it means "collect telemetry"."""
+    return _config(CompileOptions, args,
+                   telemetry=getattr(args, "telemetry", None) is not None)
 
 
 def _finish_telemetry(args: argparse.Namespace,
@@ -129,7 +121,7 @@ def _finish_stats(args: argparse.Namespace, stats: dict) -> None:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    options = CompileOptions.from_cli_args(args)
+    options = _options(args)
     try:
         outcome = api.run(_load(args.file), options)
     except api.SoundnessError:
@@ -151,7 +143,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_ir(args: argparse.Namespace) -> int:
     from .workloads import get_workload
 
-    options = CompileOptions.from_cli_args(args)
+    options = _options(args)
     if args.file in JBYTEMARK + SPECJVM98:
         source = get_workload(args.file).program()
     else:
@@ -166,7 +158,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     """Batch-compile files through the cache-aware parallel driver."""
     from .driver import CompileJob
 
-    options = CompileOptions.from_cli_args(args)
+    options = _options(args)
     config = options.config()
     jobs = []
     for path in args.files:
@@ -192,13 +184,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from .core.pipeline import compile_ir
     from .interp import execute
 
+    options = _options(args)
     program = _load(args.file)
-    traits = MACHINES[args.machine]
-    config = VARIANTS[args.variant].with_traits(traits)
     telemetry = Telemetry(label=pathlib.Path(args.file).stem)
-    compiled = compile_ir(program, config, telemetry=telemetry)
-    run = execute(compiled.program, traits=traits, fuel=args.fuel,
-                  metrics=telemetry.metrics)
+    compiled = compile_ir(program, options.config(), telemetry=telemetry)
+    run = execute(compiled.program, traits=options.traits(),
+                  fuel=options.fuel, metrics=telemetry.metrics)
 
     out = pathlib.Path(args.out)
     with open(out, "w") as handle:
@@ -221,7 +212,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_asm(args: argparse.Namespace) -> int:
-    options = CompileOptions.from_cli_args(args)
+    options = _options(args)
     traits = options.traits()
     compiled = api.compile(_load(args.file), options)
     for func in compiled.program.functions.values():
@@ -235,15 +226,16 @@ def cmd_variants(args: argparse.Namespace) -> int:
     from .interp import execute
     from .machine.costs import count_cycles
 
+    options = _options(args)
     program = _load(args.file)
-    traits = MACHINES[args.machine]
-    gold = execute(program, mode="ideal", fuel=args.fuel)
+    traits = options.traits()
+    gold = execute(program, mode="ideal", fuel=options.fuel)
     baseline = None
     print(f"{'variant':30s}{'dyn ext32':>12s}{'% of base':>12s}"
           f"{'cycles':>14s}")
     for name, config in VARIANTS.items():
         compiled = api.compile(program, config=config.with_traits(traits))
-        run = execute(compiled.program, traits=traits, fuel=args.fuel)
+        run = execute(compiled.program, traits=traits, fuel=options.fuel)
         if run.observable() != gold.observable():
             print(f"{name:30s}  BEHAVIOUR DIVERGED", file=sys.stderr)
             return 1
@@ -263,7 +255,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         print(f"unknown workload {args.workload!r}; available: "
               + ", ".join(JBYTEMARK + SPECJVM98), file=sys.stderr)
         return 1
-    options = CompileOptions.from_cli_args(args)
+    options = _options(args)
     suite = api.bench([args.workload], options=options)
     results = suite.workload(args.workload)
     print(format_dynamic_count_table(
@@ -303,7 +295,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     )
     from .workloads import get_workload
 
-    options = CompileOptions.from_cli_args(args)
+    options = _options(args)
     if args.target in JBYTEMARK + SPECJVM98:
         source = get_workload(args.target)
     elif pathlib.Path(args.target).exists():
@@ -340,22 +332,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     """Run a differential fuzzing campaign (see docs/FUZZING.md)."""
     from .fuzz import CampaignConfig
 
-    config = CampaignConfig(
-        seeds=args.seeds,
-        seed_start=args.seed_start,
-        jobs=args.jobs,
-        time_budget=args.time_budget,
-        corpus_dir=args.corpus_dir,
-        variants=tuple(args.variant) if args.variant else tuple(VARIANTS),
-        machines=tuple(args.machines),
-        fuel=args.fuel,
-        reduce=args.reduce,
-        inject_bug=args.inject_bug,
-        replay_only=args.replay,
-        max_divergences=args.max_divergences,
-        engine=args.engine or DEFAULT_ENGINE,
-        profile_dir=args.profile_dir,
-    )
+    config = _config(CampaignConfig, args)
     telemetry = (Telemetry(label="fuzz-campaign")
                  if args.telemetry is not None else None)
     result = api.fuzz_campaign(config, telemetry=telemetry)
@@ -364,7 +341,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     print(f"corpus    : {result.corpus_dir} "
           f"({result.regressions_checked} witnesses replayed, "
           f"{result.regressions_failing} still failing)")
-    if not args.replay:
+    if not config.replay_only:
         print(f"seeds     : {result.seeds_run} fuzzed "
               f"({result.skipped_seeds} skipped), "
               f"{cells} cells each, {result.cells_checked} cells checked")
@@ -398,18 +375,14 @@ def cmd_perf_record(args: argparse.Namespace) -> int:
     """Run the fixed perf grid and append records to the history."""
     from .perf import HistoryStore, PerfRecorder, record_grid
 
-    options = CompileOptions.from_cli_args(args)
+    options = _options(args)
     store = HistoryStore(args.history)
     recorder = PerfRecorder(store, source="cli")
-    variants = list(VARIANTS) if args.all_variants else args.variants
-    summary = record_grid(
-        args.workloads,
-        engines=args.engines,
-        variants=variants,
-        options=options,
-        repeat=args.repeat,
-        recorder=recorder,
-    )
+    # Only typed grid flags reach record_grid; its defaults are the grid.
+    grid = _given(args, ("workloads", "engines", "variants", "repeat"))
+    if args.all_variants:
+        grid["variants"] = tuple(VARIANTS)
+    summary = record_grid(**grid, options=options, recorder=recorder)
     print(f"recorded  : {summary['recorded']} records "
           f"({summary['deduplicated']} deduplicated) over "
           f"{summary['cells']} cells x {summary['repeat']} repeats")
@@ -510,7 +483,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     )
 
     suites = {"jbytemark": JBYTEMARK, "specjvm98": SPECJVM98}
-    options = CompileOptions.from_cli_args(args)
+    options = _options(args)
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for suite_name in (args.suite,) if args.suite else tuple(suites):
@@ -544,23 +517,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from .serve import ReproServer, ServerConfig
 
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_limit=args.queue_limit,
-        retry_after=args.retry_after,
-        cache_dir=args.cache_dir,
-        cache_max_bytes=args.cache_max_bytes,
-        fuel=args.fuel,
-        flight_capacity=args.flight_capacity,
-        flight_dir=args.flight_dir,
-        log_path=args.log,
-        slo_window_s=args.slo_window,
-        slo_target_p95_ms=args.slo_p95_ms,
-        slo_target_error_rate=args.slo_error_rate,
-        debug_hooks=args.debug_hooks,
-    )
+    config = _config(ServerConfig, args)
 
     async def _serve() -> None:
         server = ReproServer(config)
@@ -585,8 +542,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_loadtest(args: argparse.Namespace) -> int:
     """Drive a running server; verify and measure (docs/SERVING.md)."""
-    from dataclasses import replace as _replace
-
     from .perf import HistoryStore, PerfRecorder, recorder_from_env
     from .serve import (
         Loadtest,
@@ -596,27 +551,14 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         record_report,
     )
 
-    config = LoadtestConfig(
-        url=args.url,
-        requests=args.requests,
-        concurrency=args.concurrency,
-        mode=args.mode,
-        rate=args.rate,
-        ops=tuple(args.ops),
-        variant=args.variant,
-        machine=args.machine,
-        engine=args.engine or DEFAULT_ENGINE,
-        fuel=args.fuel,
-        seed=args.seed,
-        verify=not args.no_verify,
-        trace_path=args.trace,
-    )
+    config = _config(LoadtestConfig, args)
     spawned = None
     if args.spawn:
+        # The spawned server takes only its pool sizes from the flags.
         spawned = ServerThread(ServerConfig(
-            port=0, workers=args.workers, queue_limit=args.queue_limit,
+            port=0, **_given(args, ("workers", "queue_limit")),
         )).start()
-        config = _replace(config, url=spawned.base_url)
+        config = dataclasses.replace(config, url=spawned.base_url)
         print(f"[spawned a server at {spawned.base_url}]")
     try:
         report = Loadtest(config).run()
@@ -667,22 +609,18 @@ def cmd_top(args: argparse.Namespace) -> int:
     """Live terminal dashboard over a running server."""
     from .serve.top import TopConfig, run_top
 
-    config = TopConfig(
-        url=args.url,
-        interval=args.interval,
-        rows=args.rows,
-        timeout=args.timeout,
-    )
-    return run_top(config, once=args.once, as_json=args.as_json)
+    return run_top(_config(TopConfig, args), once=args.once,
+                   as_json=args.as_json)
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
     """Inspect or trim the on-disk compile cache."""
     from .driver import CompileCache, default_cache_dir
 
-    cache_dir = pathlib.Path(args.cache_dir) if args.cache_dir \
+    options = _options(args)
+    cache_dir = pathlib.Path(options.cache_dir) if options.cache_dir \
         else default_cache_dir()
-    cache = CompileCache(cache_dir, max_bytes=args.cache_max_bytes)
+    cache = CompileCache(cache_dir, max_bytes=options.cache_max_bytes)
 
     if args.cache_command == "stats":
         entries, used = cache.disk_usage()
@@ -710,381 +648,332 @@ def cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _field(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """A flag that sets the config field named by its ``dest``.  It has
+    no default: untyped, the field keeps the config's own."""
+    return names, {"default": argparse.SUPPRESS, **kwargs}
+
+
+def _flag(*names: str, **kwargs) -> tuple[tuple[str, ...], dict]:
+    """A flag (or positional) that only its handler reads."""
+    return names, kwargs
+
+
+#: Every flag, declared once: key -> (option strings, ``add_argument``
+#: keywords).  Two keys share option strings only where the flag means
+#: two different things (``--timeout``, ``--json``, ``--out``,
+#: ``--variant``).
+FLAGS = {
+    "file": _flag("file", help="a .j32 source file"),
+    "file_or_workload": _flag("file", help="a .j32 file or a workload name"),
+    "files": _flag("files", nargs="+", metavar="FILE",
+                   help=".j32 source files"),
+    "workload": _flag("workload", help="a workload name"),
+    "target": _flag("target", help="workload name or a .j32 file"),
+    # -- CompileOptions (and the same fields of the other configs)
+    "variant": _field("--variant", choices=sorted(VARIANTS),
+                      help="optimization variant (a Table 1/2 row)"),
+    "machine": _field("--machine", choices=sorted(MACHINES),
+                      help="target traits"),
+    "fuel": _field("--fuel", type=int,
+                   help="interpreter step budget per execution (serve: "
+                        "for requests that set none)"),
+    "engine": _field("--engine", choices=ENGINE_CHOICES,
+                     help="execution engine: pre-translated closure code "
+                          "(default), the reference interpreter, or both "
+                          "with a parity cross-check"),
+    "profile_dir": _field("--profile-dir", metavar="DIR",
+                          help="write execution-profile artifacts under "
+                               "DIR (bench: one per variant cell; fuzz: "
+                               "each new witness's gold run, for triage)"),
+    "dir": _field("--dir", dest="profile_dir", metavar="DIR",
+                  help="write the profile artifact under DIR"),
+    "jobs": _field("--jobs", type=_int_in(1), metavar="N",
+                   help="compile over N worker processes"),
+    "cache": _field("--cache", action="store_true",
+                    help="reuse compilations from the compile cache"),
+    "cache_dir": _field("--cache-dir", metavar="DIR",
+                        help="compile cache location (default "
+                             "~/.cache/repro; serve: memory-only)"),
+    "cache_max_bytes": _field("--cache-max-bytes", type=int, metavar="N",
+                              help="byte budget for the on-disk cache "
+                                   "tier (oldest entries evicted; also "
+                                   "honours $REPRO_CACHE_MAX_BYTES)"),
+    "timeout": _field("--timeout", type=float, metavar="SEC",
+                      help="per-job pool timeout before in-process "
+                           "fallback"),
+    # -- handler outputs
+    "telemetry": _flag("--telemetry", metavar="OUT.JSON",
+                       help="write the full telemetry document (spans, "
+                            "metrics, decision log) here"),
+    "stats": _flag("--stats", metavar="OUT.JSON",
+                   help="write driver cache/pool counters here"),
+    "json": _flag("--json", metavar="OUT.JSON",
+                  help="also write the report as JSON here"),
+    "trace_out": _flag("--out", default="trace.json",
+                       help="Chrome trace_event output path"),
+    "full": _flag("--full", metavar="OUT.JSON",
+                  help="also write the full telemetry document "
+                       "(metrics + decision log)"),
+    "ir": _flag("--ir", action="store_true",
+                help="print the hotness-annotated IR dump"),
+    "flame": _flag("--flame", metavar="OUT.TXT",
+                   help="write collapsed flamegraph stacks"),
+    "heatmap": _flag("--heatmap", metavar="OUT.HTML",
+                     help="write the standalone heatmap panel"),
+    "report_dir": _flag("--out", default="report",
+                        help="output directory"),
+    "suite": _flag("--suite", choices=["jbytemark", "specjvm98"],
+                   help="one suite (default: both)"),
+    # -- CampaignConfig
+    "seeds": _field("--seeds", type=int,
+                    help="number of consecutive generator seeds"),
+    "seed_start": _field("--seed-start", type=int, metavar="N",
+                         help="first seed (shards the seed space across "
+                              "campaigns)"),
+    "time_budget": _field("--time-budget", type=float, metavar="SEC",
+                          help="stop fuzzing new seeds after SEC seconds "
+                               "of wall clock"),
+    "corpus_dir": _field("--corpus-dir", metavar="DIR",
+                         help="divergence corpus location (default "
+                              "~/.cache/repro/fuzz-corpus)"),
+    "variants": _field("--variant", dest="variants", action="append",
+                       choices=sorted(VARIANTS), metavar="NAME",
+                       help="restrict to this variant (repeatable; "
+                            "default: all 12)"),
+    "machines": _field("--machines", nargs="+", choices=sorted(MACHINES),
+                       help="machine lowerings to cross-check"),
+    "reduce": _field("--reduce", action=argparse.BooleanOptionalAction,
+                     help="shrink new witnesses with the delta-debugging "
+                          "reducer"),
+    "replay_only": _field("--replay", dest="replay_only",
+                          action="store_true",
+                          help="only replay corpus witnesses as "
+                               "regressions; fuzz no new seeds"),
+    "max_divergences": _field("--max-divergences", type=int, metavar="N",
+                              help="stop after N new divergences"),
+    "inject_bug": _field("--inject-bug", action="store_true",
+                         help="DEBUG: compile with a deliberately broken "
+                              "AnalyzeDEF to self-test the campaign "
+                              "oracle"),
+    # -- record_grid's keywords
+    "workloads": _field("--workloads", nargs="+",
+                        choices=JBYTEMARK + SPECJVM98, metavar="NAME",
+                        help="workloads in the grid (default: fourier "
+                             "huffman)"),
+    "engines": _field("--engines", nargs="+", choices=ENGINE_CHOICES,
+                      help="execution engines to measure"),
+    "grid_variants": _field("--variants", nargs="+",
+                            choices=sorted(VARIANTS), metavar="NAME",
+                            help="variants in the grid (default: "
+                                 "baseline + the full new algorithm)"),
+    "repeat": _field("--repeat", type=int,
+                     help="repeats per cell (min-of-repeats is applied "
+                          "at compare time)"),
+    "all_variants": _flag("--all-variants", action="store_true",
+                          help="measure all 12 table variants"),
+    # -- perf history
+    "history": _flag("--history", metavar="DIR",
+                     help="perf history location (default "
+                          "~/.cache/repro/perf-history; loadtest records "
+                          "only when given or $REPRO_PERF_DIR is set)"),
+    "against": _flag("--against", metavar="JSONL",
+                     help="baseline records (e.g. the repo-committed "
+                          "perf/baseline.jsonl); default: the previous "
+                          "recorded run"),
+    "threshold": _flag("--threshold", default="10%", metavar="PCT",
+                       help="relative wall-time noise floor (default "
+                            "10%%)"),
+    "fail_on_regression": _flag("--fail-on-regression", nargs="?",
+                                const="10%", metavar="PCT",
+                                help="exit 1 on any regression beyond PCT "
+                                     "(default 10%% when given bare)"),
+    "verbose": _flag("--verbose", action="store_true",
+                     help="print every metric, not just regressions"),
+    "baseline": _flag("--baseline", metavar="JSONL",
+                      help="also merge a baseline file into the plots"),
+    "dashboard_out": _flag("--out", default="perf-report.html",
+                           help="dashboard output path"),
+    "profiles": _flag("--profiles", metavar="DIR",
+                      help="embed per-workload hot-block heatmaps from "
+                           "the profile artifacts under DIR"),
+    # -- ServerConfig
+    "host": _field("--host", help="listen address"),
+    "port": _field("--port", type=_int_in(0, 65535),
+                   help="listen port (0 = ephemeral)"),
+    "workers": _field("--workers", type=_int_in(1), metavar="N",
+                      help="worker threads executing jobs (loadtest: of "
+                           "a --spawn server)"),
+    "queue_limit": _field("--queue-limit", type=int, metavar="N",
+                          help="max admitted jobs before requests are "
+                               "shed with 429 (loadtest: of a --spawn "
+                               "server)"),
+    "retry_after": _field("--retry-after", type=float, metavar="SEC",
+                          help="Retry-After hint on shed requests"),
+    "flight_capacity": _field("--flight-capacity", type=int, metavar="N",
+                              help="flight-recorder ring size (recent "
+                                   "requests kept for /debugz)"),
+    "flight_dir": _field("--flight-dir", metavar="DIR",
+                         help="write a JSONL flight dump here on every "
+                              "5xx (default: no artifacts)"),
+    "log_path": _field("--log", dest="log_path", metavar="FILE",
+                       help="structured JSONL access/event log with "
+                            "size-based rotation"),
+    "slo_window_s": _field("--slo-window", dest="slo_window_s", type=float,
+                           metavar="SEC", help="rolling SLO window length"),
+    "slo_target_p95_ms": _field("--slo-p95-ms", dest="slo_target_p95_ms",
+                                type=float, metavar="MS",
+                                help="windowed p95 latency target"),
+    "slo_target_error_rate": _field("--slo-error-rate",
+                                    dest="slo_target_error_rate",
+                                    type=float, metavar="RATE",
+                                    help="windowed error-rate budget "
+                                         "(0.01 = 99%% success)"),
+    "debug_hooks": _field("--debug-hooks", action="store_true",
+                          help="honour client fault-injection fields "
+                               "(tests/CI only)"),
+    # -- LoadtestConfig and TopConfig
+    "url": _field("--url", help="server base URL"),
+    "spawn": _flag("--spawn", action="store_true",
+                   help="spawn an in-process server on an ephemeral port "
+                        "instead of --url"),
+    "requests": _field("--requests", type=int, metavar="N",
+                       help="requests to send"),
+    "concurrency": _field("--concurrency", type=int, metavar="N",
+                          help="closed-loop client count"),
+    "mode": _field("--mode", choices=["closed", "open"],
+                   help="closed-loop (clients wait for answers) or "
+                        "open-loop (fixed request schedule)"),
+    "rate": _field("--rate", type=float, metavar="RPS",
+                   help="open-loop offered request rate"),
+    "ops": _field("--ops", nargs="+", choices=["run", "compile"],
+                  help="endpoint mix (repeat to weight)"),
+    "seed": _field("--seed", type=int, help="workload-mix RNG seed"),
+    "verify": _field("--no-verify", dest="verify", action="store_false",
+                     help="skip the bit-identity check against local "
+                          "execution"),
+    "trace_path": _field("--trace", dest="trace_path", metavar="OUT.JSON",
+                         help="export a merged client+server Chrome trace "
+                              "correlated on X-Repro-Trace-Id"),
+    "interval": _field("--interval", type=float, metavar="SEC",
+                       help="refresh interval"),
+    "rows": _field("--rows", type=int, metavar="N",
+                   help="hottest-request rows shown"),
+    "poll_timeout": _field("--timeout", type=float, metavar="SEC",
+                           help="per-poll request timeout"),
+    "once": _flag("--once", action="store_true",
+                  help="sample once and exit"),
+    "as_json": _flag("--json", dest="as_json", action="store_true",
+                     help="with --once: print the sample as JSON "
+                          "(scripting mode)"),
+}
+
+_COMPILE = ("variant", "machine", "fuel")
+_DRIVER = ("jobs", "cache", "cache_dir", "cache_max_bytes", "timeout",
+           "stats")
+_CACHE = ("cache_dir", "cache_max_bytes")
+
+#: One row per subcommand: (path, handler, help, flag keys).  A row with
+#: no handler is a command group; its subcommands' rows follow it.
+COMMANDS = (
+    (("run",), cmd_run, "compile and execute",
+     ("file", *_COMPILE, "telemetry", "engine")),
+    (("ir",), cmd_ir, "dump optimized IR",
+     ("file_or_workload", *_COMPILE, "telemetry")),
+    (("compile",), cmd_compile,
+     "batch-compile files through the parallel, cache-aware driver",
+     ("files", *_COMPILE, *_DRIVER)),
+    (("trace",), cmd_trace,
+     "compile + run under full telemetry; write a Chrome about://tracing "
+     "JSON",
+     ("file", "trace_out", "full", *_COMPILE)),
+    (("asm",), cmd_asm, "dump assembly-flavoured lowering",
+     ("file", *_COMPILE)),
+    (("variants",), cmd_variants, "run all 12 algorithm variants",
+     ("file", "machine", "fuel")),
+    (("bench",), cmd_bench, "sweep one named benchmark workload",
+     ("workload", "json", "telemetry", "profile_dir", "engine", *_DRIVER)),
+    (("profile",), cmd_profile,
+     "profile one workload: hot blocks, annotated IR, flamegraph stacks, "
+     "HTML heatmap (docs/PROFILING.md)",
+     ("target", "dir", "ir", "flame", "heatmap", *_COMPILE, "engine")),
+    (("fuzz",), cmd_fuzz,
+     "differential fuzzing campaign across all variants and machine "
+     "lowerings",
+     ("seeds", "seed_start", "jobs", "time_budget", "corpus_dir",
+      "variants", "machines", "fuel", "reduce", "replay_only",
+      "max_divergences", "inject_bug", "profile_dir", "json", "telemetry",
+      "engine")),
+    (("perf",), None,
+     "benchmark history: record runs, gate regressions, render the HTML "
+     "dashboard (docs/PERF.md)", ()),
+    (("perf", "record"), cmd_perf_record,
+     "run the fixed perf grid; append one record per cell repeat to the "
+     "history",
+     ("workloads", "engines", "grid_variants", "all_variants", "repeat",
+      "history", "machine", "fuel", *_DRIVER)),
+    (("perf", "compare"), cmd_perf_compare,
+     "compare the latest recorded run against a baseline; classify every "
+     "cell",
+     ("history", "against", "threshold", "fail_on_regression", "json",
+      "verbose")),
+    (("perf", "report"), cmd_perf_report,
+     "render the history as a self-contained HTML dashboard + terminal "
+     "summary",
+     ("history", "baseline", "dashboard_out", "profiles")),
+    (("serve",), cmd_serve,
+     "compile-as-a-service: async HTTP front door with coalescing and "
+     "backpressure (docs/SERVING.md)",
+     ("host", "port", "workers", "queue_limit", "retry_after", *_CACHE,
+      "fuel", "flight_capacity", "flight_dir", "log_path", "slo_window_s",
+      "slo_target_p95_ms", "slo_target_error_rate", "debug_hooks")),
+    (("loadtest",), cmd_loadtest,
+     "drive a repro serve with a seeded workload mix; verify "
+     "bit-identity and record latency percentiles (docs/SERVING.md)",
+     ("url", "spawn", "requests", "concurrency", "mode", "rate", "ops",
+      "seed", "verify", "workers", "queue_limit", "json", "trace_path",
+      "history", *_COMPILE, "engine")),
+    (("top",), cmd_top,
+     "live dashboard over a running repro serve: throughput, latency, "
+     "SLO burn, hottest requests (docs/OBSERVABILITY.md)",
+     ("url", "interval", "rows", "poll_timeout", "once", "as_json")),
+    (("cache",), None, "inspect, trim, or clear the on-disk compile cache",
+     ()),
+    (("cache", "stats"), cmd_cache,
+     "show entry count, bytes used, and the byte budget", _CACHE),
+    (("cache", "prune"), cmd_cache,
+     "evict oldest entries until under the byte budget", _CACHE),
+    (("cache", "clear"), cmd_cache, "delete every cached entry", _CACHE),
+    (("report",), cmd_report,
+     "run a whole suite; write tables, figures, JSON",
+     ("suite", "report_dir", *_DRIVER)),
+)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``repro`` parser, built from :data:`COMMANDS` and
+    :data:`FLAGS`."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Effective Sign Extension Elimination (PLDI 2002) — "
                     "compile, optimize, and measure J32 programs.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
+    groups = {(): parser.add_subparsers(dest="command", required=True)}
+    for path, handler, help_text, flags in COMMANDS:
+        sub = groups[path[:-1]].add_parser(path[-1], help=help_text)
+        if handler is None:
+            groups[path] = sub.add_subparsers(
+                dest=f"{path[-1]}_command", required=True)
+            continue
+        for key in flags:
+            names, kwargs = FLAGS[key]
+            sub.add_argument(*names, **kwargs)
+        sub.set_defaults(fn=handler)
+    return parser
 
-    run_parser = subparsers.add_parser("run", help="compile and execute")
-    run_parser.add_argument("file")
-    _common_args(run_parser, telemetry=True)
-    _engine_arg(run_parser)
-    run_parser.set_defaults(fn=cmd_run)
 
-    ir_parser = subparsers.add_parser("ir", help="dump optimized IR")
-    ir_parser.add_argument("file", help="a .j32 file or a workload name")
-    _common_args(ir_parser, telemetry=True)
-    ir_parser.set_defaults(fn=cmd_ir)
-
-    compile_parser = subparsers.add_parser(
-        "compile", help="batch-compile files through the parallel, "
-                        "cache-aware driver"
-    )
-    compile_parser.add_argument("files", nargs="+", metavar="FILE")
-    _common_args(compile_parser, driver=True)
-    compile_parser.set_defaults(fn=cmd_compile)
-
-    trace_parser = subparsers.add_parser(
-        "trace", help="compile + run under full telemetry; write a "
-                      "Chrome about://tracing JSON"
-    )
-    trace_parser.add_argument("file")
-    trace_parser.add_argument("--out", default="trace.json",
-                              help="Chrome trace_event output path")
-    trace_parser.add_argument("--full", default=None, metavar="OUT.JSON",
-                              help="also write the full telemetry "
-                                   "document (metrics + decision log)")
-    _common_args(trace_parser)
-    trace_parser.set_defaults(fn=cmd_trace)
-
-    asm_parser = subparsers.add_parser(
-        "asm", help="dump assembly-flavoured lowering"
-    )
-    asm_parser.add_argument("file")
-    _common_args(asm_parser)
-    asm_parser.set_defaults(fn=cmd_asm)
-
-    variants_parser = subparsers.add_parser(
-        "variants", help="run all 12 algorithm variants"
-    )
-    variants_parser.add_argument("file")
-    _common_args(variants_parser)
-    variants_parser.set_defaults(fn=cmd_variants)
-
-    bench_parser = subparsers.add_parser(
-        "bench", help="sweep one named benchmark workload"
-    )
-    bench_parser.add_argument("workload")
-    bench_parser.add_argument("--json", default=None,
-                              help="also write results as JSON")
-    bench_parser.add_argument("--telemetry", default=None,
-                              metavar="OUT.JSON",
-                              help="collect + write per-variant telemetry")
-    bench_parser.add_argument("--profile-dir", default=None, metavar="DIR",
-                              help="write one execution-profile artifact "
-                                   "per (variant) cell under DIR")
-    _engine_arg(bench_parser)
-    _driver_args(bench_parser)
-    bench_parser.set_defaults(fn=cmd_bench)
-
-    profile_parser = subparsers.add_parser(
-        "profile", help="profile one workload: hot blocks, annotated IR, "
-                        "flamegraph stacks, HTML heatmap (docs/PROFILING.md)"
-    )
-    profile_parser.add_argument("target",
-                                help="workload name or a .j32 file")
-    profile_parser.add_argument("--dir", dest="profile_dir", default=None,
-                                metavar="DIR",
-                                help="write the profile artifact under DIR")
-    profile_parser.add_argument("--ir", action="store_true",
-                                help="print the hotness-annotated IR dump")
-    profile_parser.add_argument("--flame", default=None, metavar="OUT.TXT",
-                                help="write collapsed flamegraph stacks")
-    profile_parser.add_argument("--heatmap", default=None,
-                                metavar="OUT.HTML",
-                                help="write the standalone heatmap panel")
-    _common_args(profile_parser)
-    _engine_arg(profile_parser)
-    profile_parser.set_defaults(fn=cmd_profile)
-
-    fuzz_parser = subparsers.add_parser(
-        "fuzz", help="differential fuzzing campaign across all variants "
-                     "and machine lowerings"
-    )
-    fuzz_parser.add_argument("--seeds", type=int, default=1000,
-                             help="number of consecutive generator seeds")
-    fuzz_parser.add_argument("--seed-start", type=int, default=0,
-                             metavar="N", help="first seed (shards the "
-                             "seed space across campaigns)")
-    fuzz_parser.add_argument("--jobs", type=_int_in(1), default=1,
-                             metavar="N",
-                             help="compile over N worker processes")
-    fuzz_parser.add_argument("--time-budget", type=float, default=None,
-                             metavar="SEC",
-                             help="stop fuzzing new seeds after SEC "
-                                  "seconds of wall clock")
-    fuzz_parser.add_argument("--corpus-dir", default=None, metavar="DIR",
-                             help="divergence corpus location (default "
-                                  "~/.cache/repro/fuzz-corpus)")
-    fuzz_parser.add_argument("--variant", action="append", default=None,
-                             choices=sorted(VARIANTS), metavar="NAME",
-                             help="restrict to this variant (repeatable; "
-                                  "default: all 12)")
-    fuzz_parser.add_argument("--machines", nargs="+",
-                             default=["ia64", "ppc64"],
-                             choices=sorted(MACHINES),
-                             help="machine lowerings to cross-check")
-    fuzz_parser.add_argument("--fuel", type=int, default=2_000_000,
-                             help="interpreter step budget per execution")
-    fuzz_parser.add_argument("--reduce",
-                             action=argparse.BooleanOptionalAction,
-                             default=True,
-                             help="shrink new witnesses with the "
-                                  "delta-debugging reducer")
-    fuzz_parser.add_argument("--replay", action="store_true",
-                             help="only replay corpus witnesses as "
-                                  "regressions; fuzz no new seeds")
-    fuzz_parser.add_argument("--max-divergences", type=int, default=None,
-                             metavar="N",
-                             help="stop after N new divergences")
-    fuzz_parser.add_argument("--inject-bug", action="store_true",
-                             help="DEBUG: compile with a deliberately "
-                                  "broken AnalyzeDEF to self-test the "
-                                  "campaign oracle")
-    fuzz_parser.add_argument("--profile-dir", default=None, metavar="DIR",
-                             help="write a hotness profile of each new "
-                                  "witness's gold run under DIR (triage)")
-    fuzz_parser.add_argument("--json", default=None, metavar="OUT.JSON",
-                             help="write the campaign report here")
-    fuzz_parser.add_argument("--telemetry", default=None,
-                             metavar="OUT.JSON",
-                             help="write the full telemetry document "
-                                  "(spans + fuzz.campaign.* counters)")
-    _engine_arg(fuzz_parser)
-    fuzz_parser.set_defaults(fn=cmd_fuzz)
-
-    perf_parser = subparsers.add_parser(
-        "perf", help="benchmark history: record runs, gate regressions, "
-                     "render the HTML dashboard (docs/PERF.md)"
-    )
-    perf_sub = perf_parser.add_subparsers(dest="perf_command",
-                                          required=True)
-
-    perf_record = perf_sub.add_parser(
-        "record", help="run the fixed perf grid; append one record per "
-                       "cell repeat to the history"
-    )
-    perf_record.add_argument("--workloads", nargs="+",
-                             default=["fourier", "huffman"],
-                             choices=JBYTEMARK + SPECJVM98, metavar="NAME",
-                             help="workloads in the grid (default: "
-                                  "fourier huffman)")
-    perf_record.add_argument("--engines", nargs="+",
-                             default=[DEFAULT_ENGINE], choices=ENGINE_CHOICES,
-                             help="execution engines to measure")
-    perf_record.add_argument("--variants", nargs="+", default=None,
-                             choices=sorted(VARIANTS), metavar="NAME",
-                             help="variants in the grid (default: "
-                                  "baseline + the full new algorithm)")
-    perf_record.add_argument("--all-variants", action="store_true",
-                             help="measure all 12 table variants")
-    perf_record.add_argument("--repeat", type=int, default=3,
-                             help="repeats per cell (min-of-repeats "
-                                  "is applied at compare time)")
-    perf_record.add_argument("--history", default=None, metavar="DIR",
-                             help="history location (default "
-                                  "~/.cache/repro/perf-history)")
-    perf_record.add_argument("--machine", default="ia64",
-                             choices=sorted(MACHINES))
-    perf_record.add_argument("--fuel", type=int, default=100_000_000)
-    _driver_args(perf_record)
-    perf_record.set_defaults(fn=cmd_perf_record)
-
-    perf_compare = perf_sub.add_parser(
-        "compare", help="compare the latest recorded run against a "
-                        "baseline; classify every cell"
-    )
-    perf_compare.add_argument("--history", default=None, metavar="DIR")
-    perf_compare.add_argument("--against", default=None, metavar="JSONL",
-                              help="baseline records (e.g. the "
-                                   "repo-committed perf/baseline.jsonl); "
-                                   "default: the previous recorded run")
-    perf_compare.add_argument("--threshold", default="10%",
-                              metavar="PCT",
-                              help="relative wall-time noise floor "
-                                   "(default 10%%)")
-    perf_compare.add_argument("--fail-on-regression", default=None,
-                              nargs="?", const="10%", metavar="PCT",
-                              help="exit 1 on any regression beyond PCT "
-                                   "(default 10%% when given bare)")
-    perf_compare.add_argument("--json", default=None, metavar="OUT.JSON",
-                              help="write the machine-readable verdict")
-    perf_compare.add_argument("--verbose", action="store_true",
-                              help="print every metric, not just "
-                                   "regressions")
-    perf_compare.set_defaults(fn=cmd_perf_compare)
-
-    perf_report = perf_sub.add_parser(
-        "report", help="render the history as a self-contained HTML "
-                       "dashboard + terminal summary"
-    )
-    perf_report.add_argument("--history", default=None, metavar="DIR")
-    perf_report.add_argument("--baseline", default=None, metavar="JSONL",
-                             help="also merge a baseline file into the "
-                                  "plots")
-    perf_report.add_argument("--out", default="perf-report.html",
-                             help="dashboard output path")
-    perf_report.add_argument("--profiles", default=None, metavar="DIR",
-                             help="embed per-workload hot-block heatmaps "
-                                  "from the profile artifacts under DIR")
-    perf_report.set_defaults(fn=cmd_perf_report)
-
-    serve_parser = subparsers.add_parser(
-        "serve", help="compile-as-a-service: async HTTP front door with "
-                      "coalescing and backpressure (docs/SERVING.md)"
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=_int_in(0, 65535), default=8787,
-                              help="listen port (0 = ephemeral)")
-    serve_parser.add_argument("--workers", type=_int_in(1), default=2,
-                              metavar="N",
-                              help="worker threads executing jobs")
-    serve_parser.add_argument("--queue-limit", type=int, default=8,
-                              metavar="N",
-                              help="max admitted jobs before requests "
-                                   "are shed with 429")
-    serve_parser.add_argument("--retry-after", type=float, default=0.5,
-                              metavar="SEC",
-                              help="Retry-After hint on shed requests")
-    serve_parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                              help="on-disk compile cache location "
-                                   "(default: memory-only)")
-    serve_parser.add_argument("--cache-max-bytes", type=int, default=None,
-                              metavar="N",
-                              help="disk cache byte budget (also "
-                                   "$REPRO_CACHE_MAX_BYTES)")
-    serve_parser.add_argument("--fuel", type=int, default=100_000_000,
-                              help="default interpreter step budget")
-    serve_parser.add_argument("--flight-capacity", type=int, default=256,
-                              metavar="N",
-                              help="flight-recorder ring size (recent "
-                                   "requests kept for /debugz)")
-    serve_parser.add_argument("--flight-dir", default=None, metavar="DIR",
-                              help="write a JSONL flight dump here on "
-                                   "every 5xx (default: no artifacts)")
-    serve_parser.add_argument("--log", default=None, metavar="FILE",
-                              help="structured JSONL access/event log "
-                                   "with size-based rotation")
-    serve_parser.add_argument("--slo-window", type=float, default=300.0,
-                              metavar="SEC",
-                              help="rolling SLO window length")
-    serve_parser.add_argument("--slo-p95-ms", type=float, default=500.0,
-                              metavar="MS",
-                              help="windowed p95 latency target")
-    serve_parser.add_argument("--slo-error-rate", type=float, default=0.01,
-                              metavar="RATE",
-                              help="windowed error-rate budget "
-                                   "(0.01 = 99%% success)")
-    serve_parser.add_argument("--debug-hooks", action="store_true",
-                              help="honour client fault-injection fields "
-                                   "(tests/CI only)")
-    serve_parser.set_defaults(fn=cmd_serve)
-
-    loadtest_parser = subparsers.add_parser(
-        "loadtest", help="drive a repro serve with a seeded workload mix; "
-                         "verify bit-identity and record latency "
-                         "percentiles (docs/SERVING.md)"
-    )
-    loadtest_parser.add_argument("--url", default="http://127.0.0.1:8787",
-                                 help="server base URL")
-    loadtest_parser.add_argument("--spawn", action="store_true",
-                                 help="spawn an in-process server on an "
-                                      "ephemeral port instead of --url")
-    loadtest_parser.add_argument("--requests", type=int, default=50,
-                                 metavar="N")
-    loadtest_parser.add_argument("--concurrency", type=int, default=8,
-                                 metavar="N",
-                                 help="closed-loop client count")
-    loadtest_parser.add_argument("--mode", default="closed",
-                                 choices=["closed", "open"],
-                                 help="closed-loop (clients wait for "
-                                      "answers) or open-loop (fixed "
-                                      "request schedule)")
-    loadtest_parser.add_argument("--rate", type=float, default=50.0,
-                                 metavar="RPS",
-                                 help="open-loop offered request rate")
-    loadtest_parser.add_argument("--ops", nargs="+",
-                                 default=["run", "run", "compile"],
-                                 choices=["run", "compile"],
-                                 help="endpoint mix (repeat to weight)")
-    loadtest_parser.add_argument("--seed", type=int, default=0,
-                                 help="workload-mix RNG seed")
-    loadtest_parser.add_argument("--no-verify", action="store_true",
-                                 help="skip the bit-identity check "
-                                      "against local execution")
-    loadtest_parser.add_argument("--workers", type=_int_in(1), default=2,
-                                 metavar="N",
-                                 help="worker threads of a --spawn server")
-    loadtest_parser.add_argument("--queue-limit", type=int, default=8,
-                                 metavar="N",
-                                 help="queue limit of a --spawn server")
-    loadtest_parser.add_argument("--json", default=None, metavar="OUT.JSON",
-                                 help="write the full report here")
-    loadtest_parser.add_argument("--trace", default=None,
-                                 metavar="OUT.JSON",
-                                 help="export a merged client+server "
-                                      "Chrome trace correlated on "
-                                      "X-Repro-Trace-Id")
-    loadtest_parser.add_argument("--history", default=None, metavar="DIR",
-                                 help="record latency percentiles to this "
-                                      "perf history (also $REPRO_PERF_DIR)")
-    _common_args(loadtest_parser)
-    _engine_arg(loadtest_parser)
-    loadtest_parser.set_defaults(fn=cmd_loadtest)
-
-    top_parser = subparsers.add_parser(
-        "top", help="live dashboard over a running repro serve: "
-                    "throughput, latency, SLO burn, hottest requests "
-                    "(docs/OBSERVABILITY.md)"
-    )
-    top_parser.add_argument("--url", default="http://127.0.0.1:8787",
-                            help="server base URL")
-    top_parser.add_argument("--interval", type=float, default=2.0,
-                            metavar="SEC", help="refresh interval")
-    top_parser.add_argument("--rows", type=int, default=8, metavar="N",
-                            help="hottest-request rows shown")
-    top_parser.add_argument("--timeout", type=float, default=10.0,
-                            metavar="SEC", help="per-poll request timeout")
-    top_parser.add_argument("--once", action="store_true",
-                            help="sample once and exit")
-    top_parser.add_argument("--json", dest="as_json", action="store_true",
-                            help="with --once: print the sample as JSON "
-                                 "(scripting mode)")
-    top_parser.set_defaults(fn=cmd_top)
-
-    cache_parser = subparsers.add_parser(
-        "cache", help="inspect, trim, or clear the on-disk compile cache"
-    )
-    cache_sub = cache_parser.add_subparsers(dest="cache_command",
-                                            required=True)
-    for name, help_text in (
-        ("stats", "show entry count, bytes used, and the byte budget"),
-        ("prune", "evict oldest entries until under the byte budget"),
-        ("clear", "delete every cached entry"),
-    ):
-        sub = cache_sub.add_parser(name, help=help_text)
-        sub.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="cache location (default ~/.cache/repro)")
-        sub.add_argument("--cache-max-bytes", type=int, default=None,
-                         metavar="N",
-                         help="byte budget (also $REPRO_CACHE_MAX_BYTES)")
-        sub.set_defaults(fn=cmd_cache)
-
-    report_parser = subparsers.add_parser(
-        "report", help="run a whole suite; write tables, figures, JSON"
-    )
-    report_parser.add_argument("--suite", default=None,
-                               choices=["jbytemark", "specjvm98"],
-                               help="one suite (default: both)")
-    report_parser.add_argument("--out", default="report",
-                               help="output directory")
-    _driver_args(report_parser)
-    report_parser.set_defaults(fn=cmd_report)
-
-    args = parser.parse_args(argv)
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except BrokenPipeError:  # e.g. piping into `head`

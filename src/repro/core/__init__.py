@@ -15,7 +15,7 @@ from .config import (
     SignExtConfig,
     VARIANTS,
 )
-from .convert64 import convert_function, convert_program
+from .convert64 import convert_function
 from .elimination import FunctionStats, run_sign_extension_elimination
 from .first_algorithm import is_removable_extend32, run_first_algorithm
 from .insertion import (
@@ -41,7 +41,6 @@ __all__ = [
     "VARIANTS",
     "compile_ir",
     "convert_function",
-    "convert_program",
     "function_has_loop",
     "insert_before_requiring_uses",
     "insert_dummy_markers",

@@ -103,13 +103,11 @@ ENGINE_CHOICES = ("closure", "reference", "both")
 class CompileOptions:
     """Every knob a driver-level entry point accepts, in one object.
 
-    This replaces the keyword plumbing that used to be re-invented per
-    call site (``profiles=``/``clone=``/``telemetry=`` on the pre-1.1
-    compile entry point, ``collect_telemetry=`` on the harness, and one
-    argparse wiring per CLI subcommand).  :class:`SignExtConfig` stays
-    the *pipeline* configuration — what code gets generated;
-    ``CompileOptions`` is the *invocation* configuration — how the
-    compilation is driven.
+    :class:`SignExtConfig` stays the *pipeline* configuration — what
+    code gets generated; ``CompileOptions`` is the *invocation*
+    configuration — how the compilation is driven.  Its defaults are
+    the CLI's too: each ``repro`` flag that sets a field has no default
+    of its own (see :mod:`repro.cli`).
     """
 
     #: variant name from :data:`VARIANTS` (a Table 1/2 row)
@@ -152,33 +150,6 @@ class CompileOptions:
         if self.engine not in ENGINE_CHOICES:
             raise ValueError(f"unknown engine: {self.engine!r}; one of: "
                              + ", ".join(ENGINE_CHOICES))
-
-    @classmethod
-    def from_cli_args(cls, args) -> "CompileOptions":
-        """Build options from an ``argparse`` namespace.
-
-        Subcommands share one flag vocabulary (``--variant``,
-        ``--machine``, ``--fuel``, ``--telemetry``, ``--jobs``,
-        ``--cache``, ``--cache-dir``, ``--timeout``); any flag a
-        subcommand does not define simply keeps its default here.
-        """
-        defaults = cls()
-        # --telemetry is a bool on some subcommands and an output path
-        # on others; either way truthiness means "collect telemetry".
-        return cls(
-            variant=getattr(args, "variant", defaults.variant),
-            machine=getattr(args, "machine", defaults.machine),
-            fuel=getattr(args, "fuel", defaults.fuel),
-            telemetry=bool(getattr(args, "telemetry", None)),
-            jobs=getattr(args, "jobs", defaults.jobs),
-            cache=bool(getattr(args, "cache", defaults.cache)),
-            cache_dir=getattr(args, "cache_dir", defaults.cache_dir),
-            cache_max_bytes=getattr(args, "cache_max_bytes",
-                                    defaults.cache_max_bytes),
-            timeout=getattr(args, "timeout", defaults.timeout),
-            engine=getattr(args, "engine", None) or defaults.engine,
-            profile_dir=getattr(args, "profile_dir", defaults.profile_dir),
-        )
 
     def traits(self) -> MachineTraits:
         from ..machine import MACHINES

@@ -21,7 +21,7 @@ instructions maintain the invariants the machine needs:
 from __future__ import annotations
 
 from ..analysis.ud_du import Chains
-from ..ir.function import Function, Program
+from ..ir.function import Function
 from ..ir.instruction import Instr
 from ..ir.opcodes import Opcode
 from ..ir.semantics import (
@@ -33,12 +33,6 @@ from ..ir.semantics import (
 from ..ir.types import ScalarType
 from ..machine.model import MachineTraits
 from .config import Placement
-
-
-def convert_program(program: Program, traits: MachineTraits,
-                    placement: Placement = Placement.GEN_DEF) -> None:
-    for func in program.functions.values():
-        convert_function(func, traits, placement)
 
 
 def convert_function(func: Function, traits: MachineTraits,

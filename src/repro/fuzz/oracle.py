@@ -64,8 +64,6 @@ class Observation:
     heap: tuple
     #: stringified trap for non-``ok`` statuses
     trap: str | None
-    steps: int
-    extends32: int
 
     def observable(self) -> tuple:
         return (self.status, self.checksum, self.ret_value, self.trap)
@@ -92,31 +90,26 @@ def _observe(program: Program, mode: str, traits: MachineTraits,
              fuel: int,
              engine: str = DEFAULT_ENGINE) -> tuple[Observation, object | None]:
     """Observation plus the raw :class:`ExecResult` when the run is ok."""
-    if engine == "both":  # one execution per observation; parity is
-        engine = DEFAULT_ENGINE  # checked separately by engine_cross_check
+    if engine == "both":  # one execution per observation; check_compiled
+        engine = DEFAULT_ENGINE  # adds the one reference run it compares
     interp = create_interpreter(program, engine=engine, mode=mode,
                                 traits=traits, fuel=fuel)
     try:
         result = interp.run()
     except FuelExhausted as exc:
-        return Observation("fuel", None, None, (), str(exc),
-                           interp.steps, 0), None
+        return Observation("fuel", None, None, (), str(exc)), None
     except MemoryFault as exc:
         return Observation("fault", None, None, (),
-                           f"{type(exc).__name__}: {exc}",
-                           interp.steps, 0), None
+                           f"{type(exc).__name__}: {exc}"), None
     except Trap as exc:
         return Observation("trap", None, None, (),
-                           f"{type(exc).__name__}: {exc}",
-                           interp.steps, 0), None
+                           f"{type(exc).__name__}: {exc}"), None
     return Observation(
         status="ok",
         checksum=result.checksum,
         ret_value=result.ret_value,
         heap=snapshot_heap(interp),
         trap=None,
-        steps=result.steps,
-        extends32=result.extends32,
     ), result
 
 
@@ -210,37 +203,31 @@ def check_lowering(program: Program, traits: MachineTraits) -> str | None:
     return None
 
 
-def engine_cross_check(program: Program, *, mode: str = "machine",
-                       traits: MachineTraits = IA64,
-                       fuel: int = 2_000_000) -> tuple[str, str] | None:
-    """Run both engines over one program and compare everything.
+def _engine_divergence(closure: Observation, result,
+                       reference: Observation,
+                       ref_result) -> tuple[str, str] | None:
+    """The closure run against the reference run of the same program.
 
-    The reference interpreter is the baseline and the closure engine
-    must agree with it: observable behaviour, trap messages, final heap
-    state, and — when both runs complete — the entire ``ExecResult``
-    (step counts, site/opcode/extend counts, profiles) must match bit
-    for bit.  Step counts of *failed* runs are deliberately not
-    compared: the closure engine only tracks fuel at segment
-    granularity on exception paths.
+    Observable behaviour, trap messages, final heap state, and — when
+    both runs complete — the entire ``ExecResult`` (step counts,
+    site/opcode/extend counts, profiles) must match bit for bit.
     """
-    ref_obs, ref_res = _observe(program, mode, traits, fuel,
-                                engine="reference")
-    obs, res = _observe(program, mode, traits, fuel, engine="closure")
-    if obs.observable() != ref_obs.observable():
+    if closure.observable() != reference.observable():
         return (KIND_ENGINE,
-                f"closure engine finished {obs.observable()!r} "
-                f"but reference finished {ref_obs.observable()!r}")
-    if obs.heap != ref_obs.heap:
+                f"closure engine finished {closure.observable()!r} "
+                f"but reference finished {reference.observable()!r}")
+    if closure.heap != reference.heap:
         return (KIND_ENGINE,
                 "final heap differs between closure and reference: "
-                + _heap_diff(ref_obs.heap, obs.heap))
-    if res is not None and ref_res is not None and res != ref_res:
+                + _heap_diff(reference.heap, closure.heap))
+    if result is not None and ref_result is not None and \
+            result != ref_result:
         return (KIND_ENGINE,
                 "engines agree on observables but ExecResult differs "
-                f"(closure steps={res.steps} "
-                f"extends={res.extend_counts} vs reference "
-                f"steps={ref_res.steps} "
-                f"extends={ref_res.extend_counts})")
+                f"(closure steps={result.steps} "
+                f"extends={result.extend_counts} vs reference "
+                f"steps={ref_result.steps} "
+                f"extends={ref_result.extend_counts})")
     return None
 
 
@@ -253,8 +240,8 @@ def check_compiled(gold: Observation, compiled_program: Program,
     Returns the first ``(kind, detail)`` divergence, or ``None`` when
     the cell is clean.  Behavioural checks run first — a miscompile is
     more urgent than a measurement inconsistency.  ``engine="both"``
-    additionally cross-checks the closure engine against the reference
-    interpreter on this cell (:func:`engine_cross_check`).
+    runs the cell once more, on the reference interpreter, and requires
+    it to agree with the cell's closure run (:data:`KIND_ENGINE`).
     """
     candidate, result = _observe(compiled_program, "machine", traits, fuel,
                                  engine)
@@ -262,8 +249,10 @@ def check_compiled(gold: Observation, compiled_program: Program,
     if divergence is not None:
         return divergence
     if engine == "both":
-        divergence = engine_cross_check(compiled_program, mode="machine",
-                                        traits=traits, fuel=fuel)
+        reference, ref_result = _observe(compiled_program, "machine",
+                                         traits, fuel, "reference")
+        divergence = _engine_divergence(candidate, result, reference,
+                                        ref_result)
         if divergence is not None:
             return divergence
     problem = check_lowering(compiled_program, traits)

@@ -5,7 +5,6 @@ from .engine import (
     ENGINES,
     ClosureInterpreter,
     EngineParityError,
-    ExecutionEngine,
     create_interpreter,
     execute,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "ENGINES",
     "EngineParityError",
     "ExecResult",
-    "ExecutionEngine",
     "FuelExhausted",
     "Heap",
     "Interpreter",

@@ -7,9 +7,9 @@ Two interchangeable ways to run a program:
   deliberately boring.
 * ``closure`` — :class:`ClosureInterpreter`, which pre-translates each
   function once (see :mod:`repro.interp.translate`) and then runs
-  zero-lookup closures over a flat register list.  Functions the
-  translator rejects fall back to the reference loop *per function*;
-  the two loops interleave freely across calls.
+  zero-lookup closures over a flat register list.  Translation is total
+  over verified IR; a function it rejects fails construction with
+  :class:`~repro.interp.translate.Untranslatable`.
 
 Both engines produce bit-identical :class:`ExecResult` values — same
 checksum, return value, step count, site/opcode/extend counts, and
@@ -28,7 +28,6 @@ One documented divergence remains, unobservable in practice: on a
 from __future__ import annotations
 
 import time
-from typing import Protocol, runtime_checkable
 
 from ..core.config import DEFAULT_ENGINE
 from ..ir.function import Function, Program
@@ -43,23 +42,12 @@ from .translate import (
     TERM_NONE,
     TranslatedFunction,
     TranslationCache,
+    Untranslatable,
     default_translation_cache,
     uid_layout,
 )
 
 _U64 = 0xFFFF_FFFF_FFFF_FFFF
-
-
-@runtime_checkable
-class ExecutionEngine(Protocol):
-    """What the harness, oracle, and API require of an engine."""
-
-    program: Program
-    steps: int
-
-    def run(self, func_name: str = "main",
-            args: tuple[int | float, ...] = ()) -> ExecResult:
-        ...
 
 
 class EngineParityError(AssertionError):
@@ -70,11 +58,10 @@ class ClosureInterpreter(Interpreter):
     """Runs pre-translated threaded code; reference-identical results.
 
     Construction translates (or fetches from the shared
-    :class:`TranslationCache`) every function in the program.  Each
-    translated call frame is a flat list indexed by pre-resolved slots;
-    each instruction is a closure with its behaviour burned in.  The
-    reference implementations of ``run``/``_call`` remain reachable as
-    the per-function fallback path.
+    :class:`TranslationCache`) every function in the program, or raises
+    :class:`Untranslatable`.  Each translated call frame is a flat list
+    indexed by pre-resolved slots; each instruction is a closure with
+    its behaviour burned in.
     """
 
     def __init__(self, program: Program, *,
@@ -87,8 +74,6 @@ class ClosureInterpreter(Interpreter):
         )
         self.translate_seconds = 0.0
         self.translated_functions = 0
-        self.fallback_functions = 0
-        self.fallback_calls = 0
         self.closures_executed = 0
         self.translate_cache_hits = 0
         self.translate_cache_misses = 0
@@ -109,31 +94,30 @@ class ClosureInterpreter(Interpreter):
         for func in self.program.functions.values():
             translated = cache.get_or_translate(
                 func, ideal=self.ideal, traits=self.traits,
-                check_dummies=self.check_dummies,
             )
-            if translated is None or not self._bind(func, translated):
-                self.fallback_functions += 1
-                continue
+            self._bind(func, translated)
             self._translated[func.name] = translated
             self.translated_functions += 1
         self.translate_cache_hits = cache.hits - hits0
         self.translate_cache_misses = cache.misses - misses0
         self.translate_seconds = time.perf_counter() - start
 
-    def _bind(self, func: Function, translated: TranslatedFunction) -> bool:
+    def _bind(self, func: Function, translated: TranslatedFunction) -> None:
         """Attach this Function's uids to the (content-shared) translation.
 
         The layout must agree with the translation's static step counts
         block for block; a mismatch means the cached translation does
-        not describe this object and the function falls back.
+        not describe this object.
         """
         layout = uid_layout(func)
         for block in translated.blocks:
             uids = layout.get(block.label)
             if uids is None or len(uids) != block.n_counted:
-                return False
+                raise Untranslatable(
+                    f"{func.name}: cached translation does not match "
+                    f"block {block.label}"
+                )
         self._layouts[func.name] = layout
-        return True
 
     # -- execution ------------------------------------------------------
 
@@ -150,10 +134,7 @@ class ClosureInterpreter(Interpreter):
 
     def _call(self, func: Function,
               args: tuple[int | float, ...]) -> int | float | None:
-        translated = self._translated.get(func.name)
-        if translated is None:
-            self.fallback_calls += 1
-            return super()._call(func, args)
+        translated = self._translated[func.name]
         if len(args) != translated.n_params:
             raise Trap(
                 f"arity mismatch calling {func.name}: got {len(args)} args"
@@ -327,14 +308,6 @@ class ClosureInterpreter(Interpreter):
         metrics.counter("runtime.engine.translated_functions").inc(
             self.translated_functions
         )
-        if self.fallback_functions:
-            metrics.counter("runtime.engine.fallback_functions").inc(
-                self.fallback_functions
-            )
-        if self.fallback_calls:
-            metrics.counter("runtime.engine.fallback_calls").inc(
-                self.fallback_calls
-            )
         metrics.counter("runtime.engine.closures_executed").inc(
             self.closures_executed
         )

@@ -106,7 +106,6 @@ class Interpreter:
         mode: str = "machine",
         fuel: int = 50_000_000,
         collect_profile: bool = False,
-        check_dummies: bool = True,
         metrics=None,
         max_call_depth: int = DEFAULT_MAX_CALL_DEPTH,
     ) -> None:
@@ -117,7 +116,6 @@ class Interpreter:
         self.ideal = mode == "ideal"
         self.fuel = fuel
         self.collect_profile = collect_profile
-        self.check_dummies = check_dummies
         self.max_call_depth = max_call_depth
         self.call_depth = 0
         _ensure_recursion_headroom(max_call_depth)
@@ -313,7 +311,7 @@ class Interpreter:
 
         if opcode is Opcode.JUST_EXTENDED:
             value = int(regs[s[0].name])
-            if self.check_dummies and wrap_u64(sign_extend(value, 32)) != value:
+            if wrap_u64(sign_extend(value, 32)) != value:
                 raise MemoryFault(
                     f"just_extended marker saw a non-canonical value "
                     f"0x{value:016x} — unsound elimination"

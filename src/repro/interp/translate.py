@@ -35,9 +35,10 @@ pre-check trips, :meth:`ClosureInterpreter._fuel_out` replays exactly
 the instructions the reference would still have executed (an earlier
 trap wins over fuel exhaustion) before raising ``FuelExhausted``.
 
-Anything the translator does not understand raises
-:class:`Untranslatable`; the engine then falls back to the reference
-interpreter for that function only.
+Translation is total over verified IR.  A function the translator
+cannot compile (it only meets such a function when the verifier was
+skipped) raises :class:`Untranslatable`, and the engine refuses to run
+the program.
 """
 
 from __future__ import annotations
@@ -94,11 +95,8 @@ _COND_OPS = {
 
 
 class Untranslatable(Exception):
-    """The function contains a construct the translator cannot compile.
-
-    Never fatal: the engine keeps the reference interpreter for this
-    function and counts it in ``runtime.engine.fallback_functions``.
-    """
+    """The function contains a construct the translator cannot compile;
+    the message names the function."""
 
 
 class CallSite:
@@ -220,12 +218,7 @@ def _mk_zext(dst, src, mask):
     return op
 
 
-def _mk_just_extended(dst, src, check):
-    if not check:
-        def op(regs, st):
-            regs[dst] = int(regs[src])
-        return op
-
+def _mk_just_extended(dst, src):
     def op(regs, st):
         value = int(regs[src])
         v = value & _U32
@@ -592,12 +585,11 @@ def _mk_ret(src):
 # -- the translator -----------------------------------------------------------
 
 class _Translator:
-    def __init__(self, func: Function, ideal: bool, traits: MachineTraits,
-                 check_dummies: bool) -> None:
+    def __init__(self, func: Function, ideal: bool,
+                 traits: MachineTraits) -> None:
         self.func = func
         self.ideal = ideal
         self.traits = traits
-        self.check_dummies = check_dummies
         self.slots: dict[str, int] = {}
 
     def slot(self, name: str) -> int:
@@ -675,7 +667,8 @@ class _Translator:
 
     def _call_site(self, instr: Instr) -> CallSite:
         if instr.callee is None:
-            raise Untranslatable(f"call without callee: {instr}")
+            raise Untranslatable(
+                f"{self.func.name}: call without callee: {instr}")
         arg_slots = tuple(self.slot(s.name) for s in instr.srcs)
         if instr.dest is not None:
             return CallSite(instr.callee, arg_slots,
@@ -693,7 +686,8 @@ class _Translator:
             if opcode is Opcode.JMP:
                 return _mk_jmp(labels[instr.targets[0]])
         except (KeyError, IndexError) as exc:
-            raise Untranslatable(f"bad branch target in {instr}") from exc
+            raise Untranslatable(
+                f"{self.func.name}: bad branch target in {instr}") from exc
         # RET
         if instr.srcs:
             return _mk_ret(self.slot(instr.srcs[0].name))
@@ -727,8 +721,7 @@ class _Translator:
                             (1 << _ZEXT_WIDTH[opcode]) - 1)
 
         if opcode is Opcode.JUST_EXTENDED:
-            return _mk_just_extended(dst, self.slot(s[0].name),
-                                     self.check_dummies)
+            return _mk_just_extended(dst, self.slot(s[0].name))
 
         if opcode is Opcode.TRUNC32:
             return _mk_trunc32(dst, self.slot(s[0].name), self.ideal)
@@ -805,24 +798,15 @@ class _Translator:
         if opcode is Opcode.NOP:
             return _mk_nop()
 
-        raise Untranslatable(f"unsupported opcode {opcode} in {instr}")
+        raise Untranslatable(
+            f"{self.func.name}: unsupported opcode {opcode} in {instr}")
 
 
 def translate_function(func: Function, *, ideal: bool,
-                       traits: MachineTraits,
-                       check_dummies: bool = True) -> TranslatedFunction:
-    """Compile one function to threaded code.
-
-    Raises :class:`Untranslatable` for anything the translator cannot
-    prove it compiles faithfully; all unexpected errors are wrapped so a
-    translator bug degrades to the reference engine, never to a crash.
-    """
-    try:
-        return _Translator(func, ideal, traits, check_dummies).translate()
-    except Untranslatable:
-        raise
-    except Exception as exc:
-        raise Untranslatable(f"{func.name}: {exc!r}") from exc
+                       traits: MachineTraits) -> TranslatedFunction:
+    """Compile one function to threaded code, or raise
+    :class:`Untranslatable`."""
+    return _Translator(func, ideal, traits).translate()
 
 
 # -- translation cache --------------------------------------------------------
@@ -839,13 +823,12 @@ class TranslationCache:
     Keyed by the SHA-256 of the function's printed IR plus the
     translation mode — never by object identity — so the 12 variant
     clones of a bench grid or a driver-cache-restored program all share
-    one translation.  Failed translations are negative-cached as
-    ``None`` so fallback functions do not retry on every run.
+    one translation.  A failed translation raises and stores nothing.
     """
 
     def __init__(self, capacity: int = 512) -> None:
         self.capacity = capacity
-        self._entries: OrderedDict[tuple, TranslatedFunction | None] = \
+        self._entries: OrderedDict[tuple, TranslatedFunction] = \
             OrderedDict()
         # The default cache is shared process-wide; `repro serve` runs
         # executions on a thread pool, so lookups/inserts must not race.
@@ -853,18 +836,16 @@ class TranslationCache:
         self.hits = 0
         self.misses = 0
 
-    def _key(self, func: Function, ideal: bool, traits: MachineTraits,
-             check_dummies: bool) -> tuple:
+    def _key(self, func: Function, ideal: bool,
+             traits: MachineTraits) -> tuple:
         digest = hashlib.sha256(
             format_function(func).encode("utf-8")
         ).hexdigest()
-        return (digest, ideal, _traits_key(traits), check_dummies)
+        return (digest, ideal, _traits_key(traits))
 
     def get_or_translate(self, func: Function, *, ideal: bool,
-                         traits: MachineTraits,
-                         check_dummies: bool = True
-                         ) -> TranslatedFunction | None:
-        key = self._key(func, ideal, traits, check_dummies)
+                         traits: MachineTraits) -> TranslatedFunction:
+        key = self._key(func, ideal, traits)
         with self._lock:
             if key in self._entries:
                 self.hits += 1
@@ -874,13 +855,7 @@ class TranslationCache:
         # Translation itself runs outside the lock: two threads may
         # translate the same function concurrently (last insert wins),
         # but neither ever observes a half-built entry.
-        try:
-            translated = translate_function(
-                func, ideal=ideal, traits=traits,
-                check_dummies=check_dummies,
-            )
-        except Untranslatable:
-            translated = None
+        translated = translate_function(func, ideal=ideal, traits=traits)
         with self._lock:
             self._entries[key] = translated
             while len(self._entries) > self.capacity:

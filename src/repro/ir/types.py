@@ -24,10 +24,6 @@ class ScalarType(enum.Enum):
     REF = "ref"  # array reference
 
     @property
-    def is_float(self) -> bool:
-        return self is ScalarType.F64
-
-    @property
     def is_narrow_int(self) -> bool:
         """Integer narrower than the 64-bit register (needs extension)."""
         return self in _NARROW_INT_TYPES

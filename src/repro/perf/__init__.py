@@ -7,7 +7,7 @@ an append-only timeseries instead of a write-once snapshot:
   cell with per-phase wall times, deterministic measures, counter
   families, and full provenance (host, config fingerprint, git rev);
 * :mod:`~repro.perf.store` — the JSONL :class:`HistoryStore` with
-  content-addressed dedup and schema-version migration;
+  content-addressed dedup and a schema-version gate;
 * :mod:`~repro.perf.compare` — the statistical compare engine:
   min-of-repeats, MAD noise floor, exact comparison of deterministic
   counts, machine-readable ``improved``/``regressed``/``neutral``

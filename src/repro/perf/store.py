@@ -10,10 +10,9 @@ rest of the perf subsystem relies on:
   tracked; appending an already-present record is a no-op, so
   re-importing a baseline file or replaying a CI artifact never
   inflates the history;
-* **schema-version migration** — records written by older package
-  versions are upgraded on read by the ``_MIGRATIONS`` chain; records
-  from a *newer* schema than this code understands are skipped rather
-  than misread;
+* **schema-version gate** — a record whose ``schema_version`` is not
+  the current one (a newer schema than this code understands, or none
+  at all) is skipped rather than misread;
 * **corruption tolerance** — a truncated or garbled line is skipped
   (and counted), never fatal: a perf history must not be able to break
   the benchmarks that feed it.
@@ -27,7 +26,7 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from ..driver.cache import default_cache_dir
 from .record import SCHEMA_VERSION, RunRecord
@@ -40,43 +39,20 @@ def default_history_dir() -> Path:
     return default_cache_dir() / "perf-history"
 
 
-# -- schema migration ---------------------------------------------------------
-
-def _migrate_v0(document: dict[str, Any]) -> dict[str, Any]:
-    """v0 (pre-release shape) -> v1: ``metrics`` became ``measures``,
-    ``timings`` became ``phases``, and counters grew a dedicated block."""
-    document = dict(document)
-    if "measures" not in document and "metrics" in document:
-        document["measures"] = document.pop("metrics")
-    if "phases" not in document and "timings" in document:
-        document["phases"] = document.pop("timings")
-    document.setdefault("counters", {})
-    document["schema_version"] = 1
-    return document
-
-
-_MIGRATIONS: dict[int, Callable[[dict[str, Any]], dict[str, Any]]] = {
-    0: _migrate_v0,
-}
-
+# -- schema version -----------------------------------------------------------
 
 def migrate_record(document: dict[str, Any]) -> dict[str, Any] | None:
-    """Upgrade a record document to the current schema.
+    """The record document, if this code can read its schema.
 
-    Returns ``None`` for documents newer than this code (a downgraded
-    checkout must not misread them) or with no usable version.
+    Every record ever written is at the current ``SCHEMA_VERSION``, so
+    there is nothing to upgrade.  Returns ``None`` for documents newer
+    than this code (a downgraded checkout must not misread them) or
+    with no usable version.
     """
     if not isinstance(document, dict):
         return None
-    version = document.get("schema_version", 0)
-    if not isinstance(version, int) or version > SCHEMA_VERSION:
+    if document.get("schema_version") != SCHEMA_VERSION:
         return None
-    while version < SCHEMA_VERSION:
-        step = _MIGRATIONS.get(version)
-        if step is None:
-            return None
-        document = step(document)
-        version = document.get("schema_version", version + 1)
     return document
 
 

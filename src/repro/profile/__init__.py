@@ -21,12 +21,10 @@ Surface: ``repro profile <workload>``, ``repro bench --profile-dir``,
 
 from .artifact import (
     ARTIFACT_SUFFIX,
-    PROFILE_DIR_ENV,
     artifact_path,
     artifact_stem,
     load_profile,
     load_profiles,
-    profile_dir_from_env,
     validate_artifact_file,
     write_profile,
 )
@@ -54,7 +52,6 @@ __all__ = [
     "ExecutionProfile",
     "ExtendSite",
     "FunctionProfile",
-    "PROFILE_DIR_ENV",
     "SCHEMA_VERSION",
     "artifact_path",
     "artifact_stem",
@@ -65,7 +62,6 @@ __all__ = [
     "heatmap_section",
     "load_profile",
     "load_profiles",
-    "profile_dir_from_env",
     "render_heatmap_html",
     "validate_artifact_file",
     "validate_profile",

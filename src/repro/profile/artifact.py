@@ -4,22 +4,15 @@ One artifact is one JSON file named ``<stem>.profile.json``.  Dumps are
 deterministic (``sort_keys``, ranked rows, no timestamps), so repeated
 profiling of the same program diffs cleanly — and the embedded
 content fingerprint makes any two artifacts comparable by identity.
-
-``PROFILE_DIR_ENV`` mirrors the perf observatory's ``REPRO_PERF_DIR``:
-setting it opts any producer into writing artifacts without plumbing.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 from pathlib import Path
 
 from .model import ExecutionProfile, validate_profile
-
-#: environment variable naming a directory to drop artifacts into
-PROFILE_DIR_ENV = "REPRO_PROFILE_DIR"
 
 ARTIFACT_SUFFIX = ".profile.json"
 
@@ -66,12 +59,6 @@ def load_profiles(directory: str | Path) -> list[ExecutionProfile]:
         except (ValueError, json.JSONDecodeError, OSError):
             continue  # skip foreign or truncated files, keep the rest
     return profiles
-
-
-def profile_dir_from_env() -> Path | None:
-    """The ``$REPRO_PROFILE_DIR`` directory, if set."""
-    directory = os.environ.get(PROFILE_DIR_ENV)
-    return Path(directory) if directory else None
 
 
 def validate_artifact_file(path: str | Path) -> list[str]:

@@ -80,9 +80,6 @@ class DecisionLog:
     def kept(self) -> list[DecisionRecord]:
         return [r for r in self.records if r.verdict == VERDICT_KEPT]
 
-    def for_function(self, name: str) -> list[DecisionRecord]:
-        return [r for r in self.records if r.function == name]
-
     def as_dicts(self) -> list[dict[str, Any]]:
         return [record.as_dict() for record in self.records]
 

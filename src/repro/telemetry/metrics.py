@@ -198,11 +198,6 @@ class MetricsRegistry:
             if n == name
         }
 
-    def series(self) -> Iterable[str]:
-        for (name, key) in (*self._counters, *self._gauges,
-                            *self._histograms):
-            yield _series_name(name, key)
-
     # Snapshot iteration for exporters (the Prometheus renderer and the
     # tests): yields (family name, label pairs, instrument) triples.
 

@@ -13,7 +13,8 @@ from repro.fuzz import (
     compare_observations,
     observe,
 )
-from repro.interp import Interpreter
+from repro.fuzz.oracle import KIND_ENGINE
+from repro.interp import ClosureInterpreter, Interpreter
 from repro.machine import MACHINES
 
 CLEAN = """
@@ -36,7 +37,7 @@ void main() {
 
 def _observation(**overrides):
     base = dict(status="ok", checksum=1, ret_value=None, heap=(),
-                trap=None, steps=10, extends32=0)
+                trap=None)
     base.update(overrides)
     return Observation(**base)
 
@@ -111,3 +112,51 @@ class TestConsistencyChecks:
             assert check_cost_model(compiled.program, result, traits) is None
             assert check_compiled(gold, compiled.program, traits,
                                   2_000_000) is None
+
+
+class TestEngineBoth:
+    """``check_compiled(..., engine="both")`` compares the cell's closure
+    run with one reference run."""
+
+    @staticmethod
+    def _cell():
+        program = compile_source(CLEAN, "clean")
+        gold = observe(program, mode="ideal")
+        traits = MACHINES["ia64"]
+        config = VARIANTS["new algorithm (all)"].with_traits(traits)
+        return gold, compile_ir(program, config).program, traits
+
+    def test_clean_program(self):
+        gold, compiled, traits = self._cell()
+        assert check_compiled(gold, compiled, traits, 2_000_000,
+                              engine="both") is None
+
+    def test_planted_result_disagreement(self, monkeypatch):
+        gold, compiled, traits = self._cell()
+        original = ClosureInterpreter.run
+
+        def run(self, *args):
+            result = original(self, *args)
+            result.steps += 1
+            return result
+
+        monkeypatch.setattr(ClosureInterpreter, "run", run)
+        kind, detail = check_compiled(gold, compiled, traits, 2_000_000,
+                                      engine="both")
+        assert kind == KIND_ENGINE
+        assert "ExecResult differs" in detail
+
+    def test_planted_reference_disagreement(self, monkeypatch):
+        gold, compiled, traits = self._cell()
+        original = Interpreter.run
+
+        def run(self, *args):
+            result = original(self, *args)  # the reference engine only
+            result.checksum ^= 1
+            return result
+
+        monkeypatch.setattr(Interpreter, "run", run)
+        kind, detail = check_compiled(gold, compiled, traits, 2_000_000,
+                                      engine="both")
+        assert kind == KIND_ENGINE
+        assert "but reference finished" in detail

@@ -2,8 +2,8 @@
 
 Parity over whole workloads lives in test_engine_parity.py; this file
 exercises the engine machinery itself: depth limits, result snapshots,
-fallback, translation-cache sharing, fuel boundaries, engine selection,
-and runtime telemetry.
+untranslatable functions, translation-cache sharing, fuel boundaries,
+engine selection, and runtime telemetry.
 """
 
 import pytest
@@ -15,6 +15,7 @@ from repro.interp import (
     EngineParityError,
     Interpreter,
     TranslationCache,
+    Untranslatable,
     create_interpreter,
     execute,
 )
@@ -50,19 +51,6 @@ _LOOP_SOURCE = """
         return s;
     }
 """
-
-
-class _RefusingCache(TranslationCache):
-    """A translation cache that refuses selected (or all) functions."""
-
-    def __init__(self, refuse: frozenset | None = None) -> None:
-        super().__init__()
-        self._refuse = refuse
-
-    def get_or_translate(self, func, **kwargs):
-        if self._refuse is None or func.name in self._refuse:
-            return None
-        return super().get_or_translate(func, **kwargs)
 
 
 class TestCallDepthLimit:
@@ -148,48 +136,18 @@ class TestResultSnapshot:
         assert second.extend_counts[32] != 10**9
 
 
-class TestFallback:
-    def test_full_fallback_matches_reference(self):
-        program = compile_source(_LOOP_SOURCE)
-        interp = ClosureInterpreter(program, mode="ideal",
-                                    translation_cache=_RefusingCache())
-        result = interp.run()
-        assert interp.translated_functions == 0
-        assert interp.fallback_functions == len(program.functions)
-        assert interp.fallback_calls >= 1
-        assert result == Interpreter(program, mode="ideal").run()
-
-    def test_partial_fallback_interleaves_engines(self):
-        """Translated and fallback frames call into each other freely."""
-        program = compile_source("""
-            int isEven(int n) {
-                if (n == 0) { return 1; }
-                return isOdd(n - 1);
-            }
-            int isOdd(int n) {
-                if (n == 0) { return 0; }
-                return isEven(n - 1);
-            }
-            int main() { return isEven(10) * 10 + isOdd(7); }
-        """)
-        cache = _RefusingCache(frozenset({"isOdd"}))
-        interp = ClosureInterpreter(program, mode="ideal",
-                                    translation_cache=cache)
-        result = interp.run()
-        assert interp.fallback_functions == 1
-        assert interp.fallback_calls >= 1
-        assert interp.translated_functions == len(program.functions) - 1
-        assert result == Interpreter(program, mode="ideal").run()
-        assert result.ret_value == 11
-
-    def test_no_fallback_on_fully_translatable_program(self):
-        program = compile_source(_LOOP_SOURCE)
-        interp = ClosureInterpreter(program, mode="ideal",
-                                    translation_cache=TranslationCache())
-        interp.run()
-        assert interp.fallback_functions == 0
-        assert interp.fallback_calls == 0
-        assert interp.translated_functions == len(program.functions)
+class TestUntranslatable:
+    def test_missing_branch_target_names_the_function(self):
+        """Unverified IR the translator rejects fails construction; the
+        cache stores nothing for it."""
+        program = Program()
+        b = build_function(program, "lost", [], None)
+        b.emit(Instr(Opcode.JMP, None, (), targets=("nowhere",)))
+        cache = TranslationCache()
+        with pytest.raises(Untranslatable, match="^lost: "):
+            create_interpreter(program, engine="closure",
+                               translation_cache=cache)
+        assert cache.stats()["translate.entries"] == 0
 
 
 class TestTranslationCache:
@@ -292,6 +250,51 @@ class TestEngineSelection:
         assert issubclass(EngineParityError, AssertionError)
 
 
+class TestPlantedDisagreement:
+    """``execute(engine="both")`` raises on each kind of disagreement
+    planted in the closure engine."""
+
+    TRAPPING = "int main() { int a = 1; int b = 0; return a / b; }"
+
+    @staticmethod
+    def _plant(monkeypatch, run):
+        original = ClosureInterpreter.run
+        monkeypatch.setattr(ClosureInterpreter, "run",
+                            lambda self, *args: run(original, self, *args))
+
+    def test_outcome_kind(self, monkeypatch):
+        def run(original, interp, *args):
+            raise Trap("planted")
+
+        self._plant(monkeypatch, run)
+        with pytest.raises(EngineParityError, match="on outcome"):
+            execute(compile_source(_LOOP_SOURCE), engine="both",
+                    mode="ideal")
+
+    def test_result(self, monkeypatch):
+        def run(original, interp, *args):
+            result = original(interp, *args)
+            result.steps += 1
+            return result
+
+        self._plant(monkeypatch, run)
+        with pytest.raises(EngineParityError, match="on result"):
+            execute(compile_source(_LOOP_SOURCE), engine="both",
+                    mode="ideal")
+
+    def test_exception_message(self, monkeypatch):
+        def run(original, interp, *args):
+            try:
+                return original(interp, *args)
+            except Trap as exc:
+                raise Trap(f"{exc} (planted)") from exc
+
+        self._plant(monkeypatch, run)
+        with pytest.raises(EngineParityError, match="on Trap message"):
+            execute(compile_source(self.TRAPPING), engine="both",
+                    mode="ideal")
+
+
 class TestEngineTelemetry:
     def test_runtime_engine_metrics_emitted(self):
         program = compile_source(_LOOP_SOURCE)
@@ -307,18 +310,6 @@ class TestEngineTelemetry:
             "runtime.engine.translate_cache_hits") + metrics.counter_value(
             "runtime.engine.translate_cache_misses") == \
             len(program.functions)
-
-    def test_fallback_counters_emitted(self):
-        program = compile_source(_LOOP_SOURCE)
-        telemetry = Telemetry(label="engine-test")
-        interp = ClosureInterpreter(program, mode="ideal",
-                                    translation_cache=_RefusingCache(),
-                                    metrics=telemetry.metrics)
-        interp.run()
-        assert telemetry.metrics.counter_value(
-            "runtime.engine.fallback_functions") == len(program.functions)
-        assert telemetry.metrics.counter_value(
-            "runtime.engine.fallback_calls") >= 1
 
 
 class TestCraftedFaults:

@@ -1,8 +1,9 @@
 """Engine parity: the closure engine must be bit-identical everywhere.
 
 Every registry workload, a compiled-variant grid over both machine
-models, a 50-seed generated-program batch, and a set of crafted trap
-programs all run through both engines (reference and closure).
+models, a 50-seed generated-program batch, a set of crafted trap
+programs, and one program per edge-operand case of every opcode all
+run through both engines (reference and closure).
 Successful runs must produce equal ``ExecResult`` values (checksum,
 return value, steps, site/opcode/extend counts, branch profiles);
 failed runs must raise the same exception type with the same message.
@@ -11,6 +12,8 @@ engine only tracks fuel at segment granularity on exception paths (see
 docs/INTERPRETER.md).
 """
 
+import itertools
+
 import pytest
 
 from repro.core import VARIANTS, compile_ir
@@ -18,6 +21,8 @@ from repro.frontend import compile_source
 from repro.interp import create_interpreter, execute
 from repro.interp.memory import SimError
 from repro.interp.profiler import collect_branch_profiles
+from repro.ir import Cond, Instr, Opcode, Program, ScalarType, build_function
+from repro.ir.verifier import verify_program
 from repro.machine import IA64, PPC64
 from repro.testing import generate_program
 from repro.workloads import all_workloads
@@ -290,3 +295,256 @@ class TestUnwrittenRegister:
         assert_parity(program, mode=mode)
         result = execute(program, engine="both", mode=mode)
         assert result.checksum == 0
+
+
+# -- one case per opcode ------------------------------------------------------
+#
+# Each opcode gets one minimal verified program per edge-operand tuple;
+# every program runs on both engines in ideal and machine mode on both
+# machines.  The test iterates over ``Opcode`` itself, so an opcode
+# added without a case here fails.
+
+I8, I16, U16 = ScalarType.I8, ScalarType.I16, ScalarType.U16
+I32, I64, F64, REF = ScalarType.I32, ScalarType.I64, ScalarType.F64, \
+    ScalarType.REF
+
+#: The low word's sign bit, all ones, the high word's sign bit (low
+#: word zero), and zero.
+INT_EDGES = (0x8000_0000, -1, 2**63, 0)
+FLOAT_EDGES = (0.0, -1.5, 1e308, float("nan"), float("inf"), float("-inf"))
+#: Past either saturation bound of d2i and d2l.
+CONVERSION_EDGES = FLOAT_EDGES + (-1e10, 2147483648.0, -1e19, 1e19)
+INT_PAIRS = tuple(itertools.product(INT_EDGES, repeat=2))
+FLOAT_PAIRS = tuple(itertools.product(FLOAT_EDGES, repeat=2))
+#: Element and global types: their loads extend differently per
+#: machine and mode.
+ELEM_TYPES = (I8, I16, U16, I32, I64, F64)
+
+
+def _narrow(b, value):
+    """``value`` in an i32 register with its high word as given; ideal
+    mode's trunc32 canonicalizes it."""
+    return b.unop(Opcode.TRUNC32, b.const(value, I64))
+
+
+def _wide(b, value):
+    return b.const(value, I64)
+
+
+def _float(b, value):
+    return b.const(value, F64)
+
+
+def _typed(b, elem, value):
+    """``value`` loaded the way a store of ``elem`` takes it."""
+    if elem is F64:
+        return _float(b, value)
+    return _wide(b, value) if elem is I64 else _narrow(b, value)
+
+
+def _unop(opcode, load):
+    return lambda b, x: b.sink(b.unop(opcode, load(b, x)))
+
+
+def _binop(opcode, load):
+    return lambda b, x, y: b.sink(b.binop(opcode, load(b, x), load(b, y)))
+
+
+def _cmp(opcode, load):
+    return lambda b, cond, x, y: b.sink(
+        b.cmp(opcode, cond, load(b, x), load(b, y)))
+
+
+def _any_value(b, value):
+    return _float(b, value) if isinstance(value, float) else _wide(b, value)
+
+
+def _consts(b):
+    for value in INT_EDGES:
+        b.sink(b.const(value))
+        b.sink(b.const(value, I64))
+    for value in FLOAT_EDGES:
+        b.sink(b.const(value, F64))
+
+
+def _mov(b, value):
+    b.sink(b.mov(_any_value(b, value)))
+
+
+def _sink(b, value):
+    b.sink(_any_value(b, value))
+    if not isinstance(value, float):
+        b.sink(_narrow(b, value))
+
+
+def _just_extended(b, value):
+    narrow = _narrow(b, value)
+    b.emit(Instr(Opcode.JUST_EXTENDED, narrow, (narrow,)))
+    b.sink(narrow)
+
+
+def _newarray(b, length):
+    b.sink(b.arraylen(b.newarray(I32, _narrow(b, length))))
+
+
+def _array(edge_side):
+    """Store ``value`` and load it back; ``index`` is used on the
+    ``edge_side`` access and 0 on the other."""
+    def emit(b, elem, value, index):
+        array = b.newarray(elem, b.const(2))
+        store_at = _narrow(b, index) if edge_side is Opcode.ASTORE \
+            else b.const(0)
+        b.astore(array, store_at, _typed(b, elem, value), elem)
+        load_at = _narrow(b, index) if edge_side is Opcode.ALOAD \
+            else b.const(0)
+        b.sink(b.aload(array, load_at, elem))
+    return emit
+
+
+def _arraylen(b, ref):
+    """``ref`` None: a fresh array; otherwise a raw (null or dangling)
+    reference."""
+    array = b.newarray(I32, b.const(3)) if ref is None \
+        else b.const(ref, REF)
+    b.sink(b.arraylen(array))
+
+
+def _gload(b, elem, value):
+    b.program.add_global("g", elem, value)
+    b.sink(b.gload("g", elem))
+
+
+def _gstore(b, elem, value):
+    b.program.add_global("g", elem)
+    b.gstore("g", _typed(b, elem, value), elem)
+    b.sink(b.gload("g", elem))
+
+
+def _branch(b, value):
+    then, other, join = b.block("then"), b.block("else"), b.block("join")
+    b.br(_narrow(b, value), then, other)
+    for block, mark in ((then, 1), (other, 2)):
+        b.switch(block)
+        b.sink(b.const(mark))
+        b.jmp(join)
+    b.switch(join)
+
+
+def _jmp(b):
+    target = b.block("next")
+    b.jmp(target)
+    b.switch(target)
+
+
+def _call(b, value):
+    """Calls a value-returning and a void function."""
+    elem = F64 if isinstance(value, float) else I64
+    callee = build_function(b.program, "identity", [("x", elem)], elem)
+    callee.ret(callee.func.params[0])
+    build_function(b.program, "nothing", [], None).ret()
+    b.sink(b.call("identity", [_any_value(b, value)], elem))
+    b.call("nothing", [])
+
+
+def _nop(b):
+    b.emit(Instr(Opcode.NOP, None, ()))
+
+
+_INT32_BINOPS = (Opcode.ADD32, Opcode.SUB32, Opcode.MUL32, Opcode.DIV32,
+                 Opcode.REM32, Opcode.AND32, Opcode.OR32, Opcode.XOR32,
+                 Opcode.SHL32, Opcode.SHR32, Opcode.USHR32)
+_INT64_BINOPS = (Opcode.ADD64, Opcode.SUB64, Opcode.MUL64, Opcode.DIV64,
+                 Opcode.REM64, Opcode.AND64, Opcode.OR64, Opcode.XOR64,
+                 Opcode.SHL64, Opcode.SHR64, Opcode.USHR64)
+_FLOAT_BINOPS = (Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV,
+                 Opcode.FREM, Opcode.FPOW)
+_FLOAT_UNOPS = (Opcode.FNEG, Opcode.FSQRT, Opcode.FSIN, Opcode.FCOS,
+                Opcode.FEXP, Opcode.FLOG, Opcode.FABS, Opcode.FFLOOR)
+_ONE_INT = tuple((value,) for value in INT_EDGES)
+_ONE_FLOAT = tuple((value,) for value in FLOAT_EDGES)
+_ANY_VALUE = _ONE_INT + _ONE_FLOAT
+_COND_PAIRS = tuple((cond, x, y) for cond in Cond for x, y in INT_PAIRS)
+_FLOAT_COND_PAIRS = tuple((cond, x, y) for cond in Cond
+                          for x, y in FLOAT_PAIRS)
+_TYPED_VALUES = tuple(
+    (elem, value) for elem in ELEM_TYPES
+    for value in (FLOAT_EDGES if elem is F64 else INT_EDGES))
+#: (elem, value, index): every typed value at index 0, then every index
+_ARRAY_CASES = tuple((elem, value, 0) for elem, value in _TYPED_VALUES) \
+    + tuple((I32, -1, index) for index in INT_EDGES)
+
+#: opcode -> (emit, operand tuples).  Each tuple gets its own program:
+#: a trap then hides nothing, and the FNV checksum, which keeps a
+#: difference in bit 63 in bit 63, cannot cancel two sign flips.
+OPCODE_CASES = {
+    Opcode.CONST: (_consts, ((),)),
+    Opcode.MOV: (_mov, _ANY_VALUE),
+    **{op: (_unop(op, _narrow), _ONE_INT)
+       for op in (Opcode.EXTEND8, Opcode.EXTEND16, Opcode.EXTEND32,
+                  Opcode.ZEXT8, Opcode.ZEXT16, Opcode.ZEXT32,
+                  Opcode.NEG32, Opcode.NOT32, Opcode.I2D)},
+    **{op: (_unop(op, _wide), _ONE_INT)
+       for op in (Opcode.TRUNC32, Opcode.NEG64, Opcode.NOT64, Opcode.L2D)},
+    Opcode.JUST_EXTENDED: (_just_extended, _ONE_INT),
+    **{op: (_binop(op, _narrow), INT_PAIRS) for op in _INT32_BINOPS},
+    **{op: (_binop(op, _wide), INT_PAIRS) for op in _INT64_BINOPS},
+    Opcode.CMP32: (_cmp(Opcode.CMP32, _narrow), _COND_PAIRS),
+    Opcode.CMP64: (_cmp(Opcode.CMP64, _wide), _COND_PAIRS),
+    Opcode.CMPF: (_cmp(Opcode.CMPF, _float), _FLOAT_COND_PAIRS),
+    **{op: (_binop(op, _float), FLOAT_PAIRS) for op in _FLOAT_BINOPS},
+    **{op: (_unop(op, _float), _ONE_FLOAT) for op in _FLOAT_UNOPS},
+    **{op: (_unop(op, _float), tuple((v,) for v in CONVERSION_EDGES))
+       for op in (Opcode.D2I, Opcode.D2L)},
+    Opcode.NEWARRAY: (_newarray, ((3,),) + _ONE_INT),
+    Opcode.ALOAD: (_array(Opcode.ALOAD), _ARRAY_CASES),
+    Opcode.ASTORE: (_array(Opcode.ASTORE), _ARRAY_CASES),
+    Opcode.ARRAYLEN: (_arraylen, ((None,), (0,), (5,))),
+    Opcode.GLOAD: (_gload, _TYPED_VALUES),
+    Opcode.GSTORE: (_gstore, _TYPED_VALUES),
+    Opcode.BR: (_branch, _ONE_INT),
+    Opcode.JMP: (_jmp, ((),)),
+    Opcode.RET: (_call, _ANY_VALUE),
+    Opcode.CALL: (_call, _ANY_VALUE),
+    Opcode.SINK: (_sink, _ANY_VALUE),
+    Opcode.NOP: (_nop, ((),)),
+}
+
+
+def opcode_programs(opcode):
+    """One verified program per operand tuple of ``opcode``'s case."""
+    emit, operands = OPCODE_CASES[opcode]
+    for values in operands:
+        program = Program()
+        b = build_function(program, "main", [], None)
+        emit(b, *values)
+        b.ret()
+        verify_program(program)
+        yield program
+
+
+class TestOpcodeParity:
+    @pytest.mark.parametrize("opcode", list(Opcode), ids=lambda op: op.value)
+    def test_opcode(self, opcode):
+        for program in opcode_programs(opcode):
+            for mode in ("ideal", "machine"):
+                for traits in (IA64, PPC64):
+                    assert_parity(program, mode=mode, traits=traits)
+
+    @pytest.mark.parametrize("opcode, expected", [
+        (Opcode.FSIN, "Trap"), (Opcode.FEXP, "Trap"), (Opcode.FFLOOR, "Trap"),
+        (Opcode.FREM, "Trap"), (Opcode.FPOW, "Trap"),
+        (Opcode.DIV64, "Trap"), (Opcode.JUST_EXTENDED, "MemoryFault"),
+        (Opcode.NEWARRAY, "Trap"), (Opcode.ALOAD, "MemoryFault"),
+    ])
+    def test_cases_reach_the_failure_paths(self, opcode, expected):
+        kinds = {_outcome(program, "reference", mode="machine")[0]
+                 for program in opcode_programs(opcode)}
+        assert {"ok", expected} <= kinds
+
+    def test_d2i_saturates_negative(self):
+        program = Program()
+        b = build_function(program, "main", [], I32)
+        b.ret(b.unop(Opcode.D2I, _float(b, float("-inf"))))
+        for engine in ("reference", "closure"):
+            result = create_interpreter(program, engine=engine).run()
+            assert result.ret_value == 0xFFFF_FFFF_8000_0000

@@ -254,9 +254,6 @@ class TestDummyMarkerOracle:
         b.ret(narrow)
         with pytest.raises(MemoryFault, match="just_extended"):
             _run(program)
-        # With checking disabled it degrades to an identity move.
-        result = _run(program, check_dummies=False)
-        assert result.ret_value == 0x1_0000_0002
 
 
 class TestControlAndCalls:

@@ -1,4 +1,4 @@
-"""HistoryStore: append-only JSONL, dedup, migration, corruption."""
+"""HistoryStore: append-only JSONL, dedup, schema version, corruption."""
 
 import json
 
@@ -83,35 +83,22 @@ class TestRobustness:
 
 
 class TestMigration:
-    def test_v0_record_migrates(self):
-        v0 = {
-            "workload": "huffman", "variant": "baseline",
-            "engine": "closure", "machine": "ia64",
-            "metrics": {"dyn_extend32": 7},
-            "timings": {"execute": 0.5},
-            "schema_version": 0,
-        }
-        document = migrate_record(v0)
-        assert document is not None
-        assert document["schema_version"] == SCHEMA_VERSION
-        assert document["measures"] == {"dyn_extend32": 7}
-        assert document["phases"] == {"execute": 0.5}
-        assert document["counters"] == {}
-
     def test_newer_schema_is_skipped(self, make_record):
         document = make_record().to_dict()
         document["schema_version"] = SCHEMA_VERSION + 1
         assert migrate_record(document) is None
 
-    def test_migration_applied_on_load(self, tmp_path):
+    def test_unversioned_record_skipped_on_load(self, tmp_path,
+                                                make_record):
+        """No record predates ``SCHEMA_VERSION``, so a document with an
+        older version, or none, has no usable version."""
         path = tmp_path / "old.jsonl"
-        v0 = {
-            "workload": "huffman", "variant": "baseline",
-            "engine": "closure", "machine": "ia64",
-            "metrics": {"steps": 10}, "schema_version": 0,
-        }
-        path.write_text(json.dumps(v0) + "\n")
+        current = make_record().to_dict()
+        older = {**current, "schema_version": 0}
+        unversioned = {k: v for k, v in current.items()
+                       if k != "schema_version"}
+        path.write_text("".join(json.dumps(document) + "\n" for document
+                                in (older, unversioned, current)))
         records = load_jsonl(path)
         assert len(records) == 1
-        assert records[0].measures == {"steps": 10}
         assert records[0].schema_version == SCHEMA_VERSION

@@ -8,6 +8,7 @@ import pytest
 
 import repro
 from repro import api
+from repro.cli import _options as cli_options
 from repro.core import VARIANTS, CompileOptions
 from repro.core.config import DEFAULT_VARIANT
 from repro.frontend import compile_source
@@ -154,7 +155,7 @@ class TestCompileOptions:
             telemetry="out.json", jobs=3, cache=True,
             cache_dir="/tmp/c", timeout=5.0, profile_dir="/tmp/prof",
         )
-        options = CompileOptions.from_cli_args(args)
+        options = cli_options(args)
         assert options.variant == "baseline"
         assert options.machine == "ppc64"
         assert options.fuel == 1000
@@ -167,11 +168,11 @@ class TestCompileOptions:
 
     def test_profile_dir_defaults_off(self):
         assert CompileOptions().profile_dir is None
-        assert CompileOptions.from_cli_args(
+        assert cli_options(
             argparse.Namespace()).profile_dir is None
 
     def test_from_cli_args_sparse_namespace(self):
-        options = CompileOptions.from_cli_args(argparse.Namespace())
+        options = cli_options(argparse.Namespace())
         assert options == CompileOptions()
 
 

@@ -1,11 +1,15 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
 from repro.cli import main
+from repro.core import VARIANTS
+from repro.machine import MACHINES
 from repro.telemetry import validate_telemetry_document
+from repro.workloads import JBYTEMARK, SPECJVM98
 
 SOURCE = """
 double main() {
@@ -386,7 +390,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv", [
         ["run", "--layout-profile", "hot.profile.json"],
         ["ir", "--emit-python"],
-    ], ids=["layout-profile", "emit-python"])
+        ["variants", "--variant", "baseline"],
+    ], ids=["layout-profile", "emit-python", "variants-variant"])
     def test_removed_flag_is_usage_error(self, source_file, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main([argv[0], source_file, *argv[1:]])
@@ -476,3 +481,228 @@ class TestServeCommands:
         assert len(records) == 1
         assert records[0].engine == "serve"
         assert records[0].source == "loadtest"
+
+
+class _Captured(Exception):
+    """Raised by a hook to stop a handler once its config is built."""
+
+
+def _parser():
+    """The root parser ``main`` builds, captured before it parses."""
+    captured = []
+
+    def capture(self, *args, **kwargs):
+        captured.append(self)
+        raise _Captured
+
+    original = argparse.ArgumentParser.parse_args
+    argparse.ArgumentParser.parse_args = capture
+    try:
+        with pytest.raises(_Captured):
+            main(["run"])
+    finally:
+        argparse.ArgumentParser.parse_args = original
+    return captured[0]
+
+
+def _subcommands(parser, path=()):
+    """``(path, parser)`` for every leaf subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _subcommands(sub, path + (name,))
+            return
+    yield path, parser
+
+
+def _flag_key(action) -> str:
+    return " ".join(action.option_strings) or action.dest
+
+
+_VARIANT_NAMES = tuple(sorted(VARIANTS))
+_MACHINE_NAMES = tuple(sorted(MACHINES))
+_WORKLOAD_NAMES = tuple(JBYTEMARK + SPECJVM98)
+_ENGINE_NAMES = ("closure", "reference", "both")
+_VALUE = (None, None)
+_SWITCH = (None, 0)
+_COMPILE = {"--variant": (_VARIANT_NAMES, None),
+            "--machine": (_MACHINE_NAMES, None),
+            "--fuel": _VALUE}
+_DRIVER = {"--jobs": _VALUE, "--cache": _SWITCH, "--cache-dir": _VALUE,
+           "--cache-max-bytes": _VALUE, "--timeout": _VALUE,
+           "--stats": _VALUE}
+_ENGINE = {"--engine": (_ENGINE_NAMES, None)}
+
+
+class TestSurface:
+    """What a user can type: every subcommand's flags with their choices
+    and arity, and the config each command builds when no optional flag
+    is given."""
+
+    #: subcommand path -> {flag (or positional dest): (choices, nargs)}
+    SURFACE = {
+        ("run",): {"file": _VALUE, **_COMPILE, "--telemetry": _VALUE,
+                   **_ENGINE},
+        ("ir",): {"file": _VALUE, **_COMPILE, "--telemetry": _VALUE},
+        ("compile",): {"files": (None, "+"), **_COMPILE, **_DRIVER},
+        ("trace",): {"file": _VALUE, "--out": _VALUE, "--full": _VALUE,
+                     **_COMPILE},
+        ("asm",): {"file": _VALUE, **_COMPILE},
+        ("variants",): {"file": _VALUE,
+                        "--machine": (_MACHINE_NAMES, None),
+                        "--fuel": _VALUE},
+        ("bench",): {"workload": _VALUE, "--json": _VALUE,
+                     "--telemetry": _VALUE, "--profile-dir": _VALUE,
+                     **_ENGINE, **_DRIVER},
+        ("profile",): {"target": _VALUE, "--dir": _VALUE, "--ir": _SWITCH,
+                       "--flame": _VALUE, "--heatmap": _VALUE, **_COMPILE,
+                       **_ENGINE},
+        ("fuzz",): {"--seeds": _VALUE, "--seed-start": _VALUE,
+                    "--jobs": _VALUE, "--time-budget": _VALUE,
+                    "--corpus-dir": _VALUE,
+                    "--variant": (_VARIANT_NAMES, None),
+                    "--machines": (_MACHINE_NAMES, "+"), "--fuel": _VALUE,
+                    "--reduce --no-reduce": _SWITCH, "--replay": _SWITCH,
+                    "--max-divergences": _VALUE, "--inject-bug": _SWITCH,
+                    "--profile-dir": _VALUE, "--json": _VALUE,
+                    "--telemetry": _VALUE, **_ENGINE},
+        ("perf", "record"): {"--workloads": (_WORKLOAD_NAMES, "+"),
+                             "--engines": (_ENGINE_NAMES, "+"),
+                             "--variants": (_VARIANT_NAMES, "+"),
+                             "--all-variants": _SWITCH, "--repeat": _VALUE,
+                             "--history": _VALUE,
+                             "--machine": (_MACHINE_NAMES, None),
+                             "--fuel": _VALUE, **_DRIVER},
+        ("perf", "compare"): {"--history": _VALUE, "--against": _VALUE,
+                              "--threshold": _VALUE,
+                              "--fail-on-regression": (None, "?"),
+                              "--json": _VALUE, "--verbose": _SWITCH},
+        ("perf", "report"): {"--history": _VALUE, "--baseline": _VALUE,
+                             "--out": _VALUE, "--profiles": _VALUE},
+        ("serve",): {"--host": _VALUE, "--port": _VALUE,
+                     "--workers": _VALUE, "--queue-limit": _VALUE,
+                     "--retry-after": _VALUE, "--cache-dir": _VALUE,
+                     "--cache-max-bytes": _VALUE, "--fuel": _VALUE,
+                     "--flight-capacity": _VALUE, "--flight-dir": _VALUE,
+                     "--log": _VALUE, "--slo-window": _VALUE,
+                     "--slo-p95-ms": _VALUE, "--slo-error-rate": _VALUE,
+                     "--debug-hooks": _SWITCH},
+        ("loadtest",): {"--url": _VALUE, "--spawn": _SWITCH,
+                        "--requests": _VALUE, "--concurrency": _VALUE,
+                        "--mode": (("closed", "open"), None),
+                        "--rate": _VALUE,
+                        "--ops": (("run", "compile"), "+"),
+                        "--seed": _VALUE, "--no-verify": _SWITCH,
+                        "--workers": _VALUE, "--queue-limit": _VALUE,
+                        "--json": _VALUE, "--trace": _VALUE,
+                        "--history": _VALUE, **_COMPILE, **_ENGINE},
+        ("top",): {"--url": _VALUE, "--interval": _VALUE, "--rows": _VALUE,
+                   "--timeout": _VALUE, "--once": _SWITCH,
+                   "--json": _SWITCH},
+        ("cache", "stats"): {"--cache-dir": _VALUE,
+                             "--cache-max-bytes": _VALUE},
+        ("cache", "prune"): {"--cache-dir": _VALUE,
+                             "--cache-max-bytes": _VALUE},
+        ("cache", "clear"): {"--cache-dir": _VALUE,
+                             "--cache-max-bytes": _VALUE},
+        ("report",): {"--suite": (("jbytemark", "specjvm98"), None),
+                      "--out": _VALUE, **_DRIVER},
+    }
+
+    #: Flags declared without help text; every other flag must have some.
+    NO_HELP = {
+        ("run",): {"file"}, ("compile",): {"files"}, ("trace",): {"file"},
+        ("asm",): {"file"}, ("variants",): {"file"},
+        ("bench",): {"workload"},
+        ("perf", "record"): {"--machine", "--fuel"},
+        ("perf", "compare"): {"--history"}, ("perf", "report"): {"--history"},
+        ("serve",): {"--host"}, ("loadtest",): {"--requests"},
+    }
+
+    def test_every_subcommand_flag(self):
+        surface = {}
+        for path, parser in _subcommands(_parser()):
+            surface[path] = {
+                _flag_key(action): (
+                    tuple(action.choices)
+                    if action.choices is not None else None,
+                    action.nargs,
+                )
+                for action in parser._actions if action.dest != "help"
+            }
+        assert surface == self.SURFACE
+
+    def test_flags_keep_their_help(self):
+        for path, parser in _subcommands(_parser()):
+            for action in parser._actions:
+                key = _flag_key(action)
+                if key in self.NO_HELP.get(path, ()):
+                    continue
+                assert action.help, f"{' '.join(path)} {key} has no help"
+
+    @staticmethod
+    def _capture(monkeypatch, target, name, argv, *, result=None):
+        """Run ``argv`` with ``target.name`` replaced by a hook; returns
+        the positional arguments the hook was called with."""
+        seen = []
+
+        def hook(*args, **kwargs):
+            seen.append(args)
+            if result is None:
+                raise _Captured
+            return result
+
+        monkeypatch.setattr(target, name, hook)
+        try:
+            main(argv)
+        except _Captured:
+            pass
+        return seen[-1]
+
+    def test_run_defaults(self, monkeypatch, source_file):
+        import repro.api
+        from repro.core.config import CompileOptions
+
+        _, options = self._capture(monkeypatch, repro.api, "run",
+                                   ["run", source_file])
+        assert options == CompileOptions()
+
+    def test_fuzz_defaults(self, monkeypatch):
+        import repro.api
+        from repro.fuzz import CampaignConfig
+
+        config, = self._capture(monkeypatch, repro.api, "fuzz_campaign",
+                                ["fuzz"])
+        assert config == CampaignConfig()
+
+    def test_serve_defaults(self, monkeypatch):
+        import repro.serve
+        from repro.serve import ServerConfig
+
+        config, = self._capture(monkeypatch, repro.serve, "ReproServer",
+                                ["serve"])
+        assert config == ServerConfig()
+
+    def test_loadtest_defaults(self, monkeypatch):
+        import repro.serve
+        from repro.serve import LoadtestConfig
+
+        config, = self._capture(monkeypatch, repro.serve, "Loadtest",
+                                ["loadtest"])
+        assert config == LoadtestConfig()
+
+    def test_loadtest_spawned_server_defaults(self, monkeypatch):
+        import repro.serve
+        from repro.serve import ServerConfig
+
+        config, = self._capture(monkeypatch, repro.serve, "ServerThread",
+                                ["loadtest", "--spawn", "--fuel", "7"])
+        assert config == ServerConfig(port=0)
+
+    def test_top_defaults(self, monkeypatch):
+        import repro.serve.top
+        from repro.serve.top import TopConfig
+
+        config, = self._capture(monkeypatch, repro.serve.top, "run_top",
+                                ["top"], result=0)
+        assert config == TopConfig()
