@@ -13,12 +13,13 @@ from .frequency import BranchProfile, estimate_frequencies
 from .liveness import Liveness
 from .loops import Loop, LoopForest
 from .reaching import Definition, ReachingDefinitions
-from .ud_du import Chains, Use
+from .ud_du import Chains, ChainsHolder, Use
 from .value_range import Interval, TOP, ValueRanges
 
 __all__ = [
     "BranchProfile",
     "Chains",
+    "ChainsHolder",
     "DataflowProblem",
     "Definition",
     "Direction",

@@ -120,10 +120,8 @@ def bit_indices(bits: int) -> list[int]:
     [0, 1, 3]
     """
     indices = []
-    index = 0
     while bits:
-        if bits & 1:
-            indices.append(index)
-        bits >>= 1
-        index += 1
+        low = bits & -bits  # the lowest set bit alone
+        indices.append(low.bit_length() - 1)
+        bits ^= low
     return indices

@@ -4,8 +4,13 @@
 destination operand of EXT") and UD chains ("all instructions that
 define the source operand of EXT"); ``AnalyzeARRAY`` recurses over both.
 
-The chains are built once from reaching definitions.  When the
-eliminator removes a same-register extension ``r = extend(r)`` it calls
+The chains are built from reaching definitions.  The general passes
+share them through one :class:`ChainsHolder` per function: it builds
+``Chains(func)`` on first request and keeps them until a pass that
+edited the function calls :meth:`ChainsHolder.invalidate`, so a round
+or a pass that changed nothing hands its chains to the next.  Phase 3
+builds its own chains once.  When the eliminator removes a
+same-register extension ``r = extend(r)`` it calls
 :meth:`Chains.bypass_and_remove`, which splices the extension out of the
 chains *conservatively* (former users of the extension now see every
 definition that reached the extension).  The splice may overapproximate
@@ -141,3 +146,27 @@ class Chains:
 
         block = self._block_of_instr.pop(instr.uid)
         block.remove(instr)
+
+
+class ChainsHolder:
+    """The chains of one function, built on first request and kept until
+    :meth:`invalidate`.
+
+    A pass that edits the function must call :meth:`invalidate` before
+    anyone asks again; until then every :meth:`get` returns the same
+    :class:`Chains`.
+    """
+
+    __slots__ = ("func", "_chains")
+
+    def __init__(self, func: Function) -> None:
+        self.func = func
+        self._chains: Chains | None = None
+
+    def get(self) -> Chains:
+        if self._chains is None:
+            self._chains = Chains(self.func)
+        return self._chains
+
+    def invalidate(self) -> None:
+        self._chains = None

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from ..analysis.ud_du import Chains
+from ..analysis.ud_du import Chains, ChainsHolder
 from ..ir.function import Function
 from ..ir.instruction import Instr
 from ..ir.opcodes import Cond, Opcode
@@ -24,11 +24,12 @@ from ..ir.types import ScalarType, low32, sign_extend, wrap_u64
 _MAX_ROUNDS = 10
 
 
-def fold_constants(func: Function) -> bool:
+def fold_constants(func: Function, holder: ChainsHolder | None = None) -> bool:
     """Fold constant computations; returns True when anything changed."""
+    holder = holder if holder is not None else ChainsHolder(func)
     changed_any = False
     for _ in range(_MAX_ROUNDS):
-        chains = Chains(func)
+        chains = holder.get()
         changed = False
         for block in func.blocks:
             for position, instr in enumerate(list(block.instrs)):
@@ -38,6 +39,7 @@ def fold_constants(func: Function) -> bool:
                     changed = True
         if changed:
             changed_any = True
+            holder.invalidate()
             func.invalidate_cfg()
         else:
             break

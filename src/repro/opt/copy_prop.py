@@ -10,17 +10,19 @@ the whole execution after definition.
 
 from __future__ import annotations
 
-from ..analysis.ud_du import Chains
+from ..analysis.ud_du import ChainsHolder
 from ..ir.function import Function
 from ..ir.opcodes import Opcode
 
 _MAX_ROUNDS = 10
 
 
-def propagate_copies(func: Function) -> bool:
+def propagate_copies(func: Function,
+                     holder: ChainsHolder | None = None) -> bool:
+    holder = holder if holder is not None else ChainsHolder(func)
     changed_any = False
     for _ in range(_MAX_ROUNDS):
-        chains = Chains(func)
+        chains = holder.get()
         def_counts: dict[str, int] = {}
         for param in func.params:
             def_counts[param.name] = def_counts.get(param.name, 0) + 1
@@ -52,6 +54,7 @@ def propagate_copies(func: Function) -> bool:
                 changed = True
         if changed:
             changed_any = True
+            holder.invalidate()
         else:
             break
     return changed_any

@@ -7,16 +7,18 @@ dead too.
 
 from __future__ import annotations
 
-from ..analysis.ud_du import Chains
+from ..analysis.ud_du import ChainsHolder
 from ..ir.function import Function
 
 _MAX_ROUNDS = 50
 
 
-def eliminate_dead_code(func: Function) -> bool:
+def eliminate_dead_code(func: Function,
+                        holder: ChainsHolder | None = None) -> bool:
+    holder = holder if holder is not None else ChainsHolder(func)
     changed_any = False
     for _ in range(_MAX_ROUNDS):
-        chains = Chains(func)
+        chains = holder.get()
         dead = []
         for block in func.blocks:
             for instr in block.instrs:
@@ -29,5 +31,6 @@ def eliminate_dead_code(func: Function) -> bool:
         for block, instr in dead:
             block.remove(instr)
         changed_any = True
+        holder.invalidate()
         func.invalidate_cfg()
     return changed_any

@@ -15,12 +15,15 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
+from ..analysis.ud_du import ChainsHolder
 from ..ir.function import Function
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..telemetry.tracer import Tracer
 
-PassFn = Callable[[Function], bool]
+#: A pass gets the function and the chains it shares with the other
+#: passes; it calls ``holder.invalidate()`` whenever it edits the function.
+PassFn = Callable[[Function, ChainsHolder], bool]
 
 BUCKET_SIGN_EXT = "sign extension optimizations"
 BUCKET_CHAINS = "UD/DU chain creation"
@@ -139,17 +142,22 @@ class PassManager:
         self.passes = passes
         self.timing = timing if timing is not None else Timing()
 
-    def run(self, func: Function) -> bool:
+    def run(self, func: Function, holder: ChainsHolder | None = None) -> bool:
+        holder = holder if holder is not None else ChainsHolder(func)
         changed = False
         for pass_ in self.passes:
             with self.timing.span(pass_.name, BUCKET_OTHERS, category="pass",
                                   function=func.name) as span:
-                result = bool(pass_.run(func))
+                result = bool(pass_.run(func, holder))
                 span.annotate(changed=result)
             changed |= result
         return changed
 
     def run_to_fixpoint(self, func: Function, max_rounds: int = 4) -> None:
+        """Run rounds until one changes nothing.  All passes of all rounds
+        share one :class:`ChainsHolder`, so chains that no pass
+        invalidated are never rebuilt."""
+        holder = ChainsHolder(func)
         for _ in range(max_rounds):
-            if not self.run(func):
+            if not self.run(func, holder):
                 break

@@ -7,7 +7,7 @@
 
 from __future__ import annotations
 
-from ..analysis.ud_du import Chains
+from ..analysis.ud_du import Chains, ChainsHolder
 from ..ir.function import Function
 from ..ir.instruction import Instr
 from ..ir.opcodes import Opcode
@@ -31,13 +31,20 @@ _ZERO_RIGHT = {Opcode.MUL32: 0, Opcode.AND32: 0, Opcode.MUL64: 0,
                Opcode.AND64: 0}
 
 
-def simplify(func: Function) -> bool:
+def simplify(func: Function, holder: ChainsHolder | None = None) -> bool:
     """Apply algebraic identities and fold constant branches."""
-    changed = _algebraic(func)
-    changed |= _fold_branches(func)
+    holder = holder if holder is not None else ChainsHolder(func)
+    changed = False
+    for step in (_algebraic, _fold_branches):
+        if step(func, holder.get()):
+            holder.invalidate()
+            changed = True
     if changed:
         func.invalidate_cfg()
-        func.drop_unreachable_blocks()
+        # Unreachable blocks still feed definitions into the blocks they
+        # jump to, so dropping them changes the chains.
+        if func.drop_unreachable_blocks():
+            holder.invalidate()
     return changed
 
 
@@ -62,8 +69,7 @@ def _norm(value: int, opcode: Opcode) -> int:
     return sign_extend(value, bits)
 
 
-def _algebraic(func: Function) -> bool:
-    chains = Chains(func)
+def _algebraic(func: Function, chains: Chains) -> bool:
     changed = False
     for block in func.blocks:
         for position, instr in enumerate(block.instrs):
@@ -94,8 +100,7 @@ def _algebraic(func: Function) -> bool:
     return changed
 
 
-def _fold_branches(func: Function) -> bool:
-    chains = Chains(func)
+def _fold_branches(func: Function, chains: Chains) -> bool:
     changed = False
     for block in func.blocks:
         terminator = block.instrs[-1] if block.instrs else None

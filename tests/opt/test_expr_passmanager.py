@@ -142,7 +142,7 @@ class TestPassManager:
     def test_runs_passes_and_times_them(self):
         calls = []
 
-        def slow_pass(func):
+        def slow_pass(func, _holder):
             calls.append(func)
             time.sleep(0.001)
             return False
@@ -158,7 +158,7 @@ class TestPassManager:
     def test_fixpoint_stops_when_stable(self):
         countdown = [3]
 
-        def changing_pass(_func):
+        def changing_pass(_func, _holder):
             countdown[0] -= 1
             return countdown[0] > 0
 
