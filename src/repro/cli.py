@@ -388,6 +388,7 @@ def cmd_perf_record(args: argparse.Namespace) -> int:
           f"{summary['cells']} cells x {summary['repeat']} repeats")
     print(f"run id    : {recorder.run_id}")
     print(f"history   : {store.path}")
+    _finish_stats(args, summary["driver_stats"])
     return 0
 
 
@@ -486,28 +487,34 @@ def cmd_report(args: argparse.Namespace) -> int:
     options = _options(args)
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for suite_name in (args.suite,) if args.suite else tuple(suites):
-        suite = api.bench(suites[suite_name], options=options)
-        results = suite.results
-        sections = [
-            format_dynamic_count_table(
-                results, f"Dynamic 32-bit sign extensions ({suite_name})"
-            ),
-            format_percent_figure(
-                results, f"Residual extensions, % of baseline ({suite_name})"
-            ),
-            format_performance_figure(
-                results, f"Modelled run-time improvement ({suite_name})"
-            ),
-            format_timing_table(results),
-        ]
-        text_path = out_dir / f"{suite_name}.txt"
-        text_path.write_text("\n\n".join(sections) + "\n")
-        export_json(results, str(out_dir / f"{suite_name}.json"))
-        print(f"wrote {text_path} and {suite_name}.json")
-        if options.cache:
-            print(f"[cache: {suite.cache_hits} hits, "
-                  f"{suite.cache_misses} misses]")
+    # One driver for every suite: its counters, and so the last suite's
+    # driver stats, are the totals over all suites run.
+    with api.driver_from_options(options) as driver:
+        for suite_name in (args.suite,) if args.suite else tuple(suites):
+            suite = api.bench(suites[suite_name], options=options,
+                              driver=driver)
+            results = suite.results
+            sections = [
+                format_dynamic_count_table(
+                    results, f"Dynamic 32-bit sign extensions ({suite_name})"
+                ),
+                format_percent_figure(
+                    results,
+                    f"Residual extensions, % of baseline ({suite_name})"
+                ),
+                format_performance_figure(
+                    results, f"Modelled run-time improvement ({suite_name})"
+                ),
+                format_timing_table(results),
+            ]
+            text_path = out_dir / f"{suite_name}.txt"
+            text_path.write_text("\n\n".join(sections) + "\n")
+            export_json(results, str(out_dir / f"{suite_name}.json"))
+            print(f"wrote {text_path} and {suite_name}.json")
+    if options.cache:
+        print(f"[cache: {suite.cache_hits} hits, "
+              f"{suite.cache_misses} misses]")
+    _finish_stats(args, suite.driver_stats)
     return 0
 
 

@@ -16,7 +16,7 @@ elimination behaviour itself.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..core import VARIANTS
 from ..core.config import DEFAULT_ENGINE, CompileOptions
@@ -37,8 +37,9 @@ def record_grid(
     options: CompileOptions | None = None,
     repeat: int = 3,
     recorder: PerfRecorder,
-) -> dict[str, int]:
-    """Run the grid, recording every cell; returns append counts."""
+) -> dict[str, Any]:
+    """Run the grid, recording every cell; returns append counts and,
+    under ``driver_stats``, the driver's counters."""
     from ..api import driver_from_options
     from ..workloads import get_workload
 
@@ -66,9 +67,11 @@ def record_grid(
                         recorder=recorder,
                         repeat_index=repeat_index,
                     )
+        driver_stats = driver.stats()
     return {
         "recorded": recorder.recorded,
         "deduplicated": recorder.deduplicated,
         "cells": len(resolved) * len(variant_map) * len(tuple(engines)),
         "repeat": repeat,
+        "driver_stats": driver_stats,
     }

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import main
 from repro.core import VARIANTS
 from repro.machine import MACHINES
@@ -142,6 +143,18 @@ class TestBenchDriver:
         stats = json.loads(stats_path.read_text())
         assert stats["driver.pool.jobs"] == 12
 
+    def test_report_stats_file_covers_every_suite(self, tmp_path, capsys,
+                                                  monkeypatch):
+        # One small workload per suite keeps the whole-suite run short.
+        monkeypatch.setattr(cli, "JBYTEMARK", ["fourier"])
+        monkeypatch.setattr(cli, "SPECJVM98", ["db"])
+        stats_path = tmp_path / "stats.json"
+        assert main(["report", "--out", str(tmp_path / "report"),
+                     "--stats", str(stats_path)]) == 0
+        assert "[driver stats written to" in capsys.readouterr().out
+        stats = json.loads(stats_path.read_text())
+        assert stats["driver.pool.jobs"] == 2 * len(VARIANTS)
+
 
 class TestTelemetryFlag:
     def test_run_writes_telemetry_document(self, source_file, tmp_path,
@@ -198,6 +211,16 @@ class TestPerf:
                      "--fuel", "2000000", "--history", str(history)])
         assert code == 0
         return capsys.readouterr().out
+
+    def test_record_stats_file(self, tmp_path, capsys):
+        stats_path = tmp_path / "stats.json"
+        assert main(["perf", "record", "--workloads", "fourier",
+                     "--engines", "closure", "--repeat", "1",
+                     "--fuel", "2000000", "--history", str(tmp_path / "ph"),
+                     "--stats", str(stats_path)]) == 0
+        assert "[driver stats written to" in capsys.readouterr().out
+        stats = json.loads(stats_path.read_text())
+        assert stats["driver.pool.jobs"] == 2  # two default variants
 
     def test_record_appends_history(self, tmp_path, capsys):
         history = tmp_path / "ph"
