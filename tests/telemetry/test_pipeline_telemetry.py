@@ -7,9 +7,11 @@ import pytest
 
 from repro.core import VARIANTS, compile_ir
 from repro.interp import Interpreter
+from repro.machine import MACHINES
 from repro.opt import BUCKET_CHAINS, BUCKET_OTHERS, BUCKET_SIGN_EXT
 from repro.telemetry import Telemetry, validate_telemetry_document
 from repro.telemetry import tracer as tracer_module
+from repro.workloads import all_workloads
 from tests.conftest import make_fig7_program
 
 FULL_CFG = VARIANTS["new algorithm (all)"]
@@ -136,6 +138,23 @@ class TestMetrics:
         assert sum(opcodes.values()) == run.steps
         assert metrics.gauge("runtime.fuel_remaining").value >= 0
         assert metrics.histogram("runtime.site_exec_counts").count > 0
+
+    @pytest.mark.parametrize("machine", sorted(MACHINES))
+    def test_pde_row_counts_placed_extensions(self, machine):
+        """PDE removes the extensions it sinks, so its net insertion
+        count is often negative; the counter counts those it placed."""
+        config = VARIANTS["all, using PDE"].with_traits(MACHINES[machine])
+        net_negative = 0
+        for workload in all_workloads():
+            telemetry = Telemetry()
+            compiled = compile_ir(workload.program(), config,
+                                  telemetry=telemetry)
+            net = sum(s.inserted for s in compiled.function_stats.values())
+            net_negative += net < 0
+            placed = telemetry.metrics.counter_value("signext.inserted",
+                                                     mode="pde")
+            assert placed >= max(net, 0), workload.name
+        assert net_negative  # the rows whose net count is negative ran
 
 
 class TestDisabledTelemetry:
