@@ -44,6 +44,7 @@ def record_grid(
     from ..workloads import get_workload
 
     options = options if options is not None else CompileOptions()
+    engines = tuple(engines)
     variant_names = tuple(variants) if variants else DEFAULT_RECORD_VARIANTS
     for name in variant_names:
         if name not in VARIANTS:
@@ -71,7 +72,7 @@ def record_grid(
     return {
         "recorded": recorder.recorded,
         "deduplicated": recorder.deduplicated,
-        "cells": len(resolved) * len(variant_map) * len(tuple(engines)),
+        "cells": len(resolved) * len(variant_map) * len(engines),
         "repeat": repeat,
         "driver_stats": driver_stats,
     }

@@ -21,6 +21,7 @@ from repro.perf import (
     compare_records,
     recorder_from_env,
 )
+from repro.perf.grid import record_grid
 from repro.workloads import Workload
 
 _SOURCE = """
@@ -119,6 +120,15 @@ class TestHarnessHook:
 
 
 class TestRecorderPlumbing:
+    def test_record_grid_counts_a_one_shot_engine_iterable(self, tmp_path):
+        recorder = PerfRecorder(tmp_path / "h", source="test")
+        result = record_grid(("fourier",),
+                             engines=(name for name in ("closure",)),
+                             variants=("baseline",), repeat=1,
+                             recorder=recorder)
+        assert result["cells"] == 1
+        assert result["recorded"] == 1
+
     def test_dedup_counted(self, tmp_path, make_record):
         recorder = PerfRecorder(tmp_path / "h", source="test",
                                 run_id="r")
