@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from ..ir.block import Block
 from ..ir.function import Function
 from ..ir.instruction import Instr, VReg
+from ..ir.opcodes import Opcode
 from .dataflow import bit_indices
 from .reaching import Definition, ReachingDefinitions
 
@@ -83,6 +84,21 @@ class Chains:
     def defs_for(self, instr: Instr, operand_index: int) -> list[Definition]:
         """UD chain: definitions reaching operand ``operand_index``."""
         return self._ud.get((instr.uid, operand_index), [])
+
+    def const_of(self, instr: Instr, operand_index: int) -> int | float | None:
+        """The constant operand ``operand_index`` holds: the immediate
+        of every reaching definition when all are ``CONST`` with one
+        value, else None.  Callers that need an integer check for it."""
+        value = None
+        for definition in self.defs_for(instr, operand_index):
+            src = definition.instr
+            if src is None or src.opcode is not Opcode.CONST:
+                return None
+            if value is None:
+                value = src.imm
+            elif value != src.imm:
+                return None
+        return value
 
     def uses_of(self, instr: Instr) -> list[Use]:
         """DU chain: uses reached by the definition made by ``instr``."""

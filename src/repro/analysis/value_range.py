@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..ir.instruction import Instr
-from ..ir.opcodes import Opcode
+from ..ir.opcodes import EXTEND_BITS, EXTEND_OPS, Opcode
 from ..ir.types import INT32_MAX, INT32_MIN, sign_extend
 from ..machine.model import MachineTraits
 from .ud_du import Chains, Definition
@@ -80,23 +80,6 @@ class ValueRanges:
                 return TOP
         return result if result is not None else TOP
 
-    def const_of_use(self, instr: Instr, operand_index: int) -> int | None:
-        """The exact constant value of an operand, when all reaching
-        definitions are the same integer constant."""
-        defs = self.chains.defs_for(instr, operand_index)
-        value: int | None = None
-        for definition in defs:
-            src = definition.instr
-            if src is None or src.opcode is not Opcode.CONST:
-                return None
-            if not isinstance(src.imm, int):
-                return None
-            if value is None:
-                value = src.imm
-            elif value != src.imm:
-                return None
-        return value
-
     def range_of_def(self, definition: Definition) -> Interval:
         if definition.is_param:
             return TOP
@@ -131,16 +114,15 @@ class ValueRanges:
             return Interval(0, self.max_array_length)
         if opcode in (Opcode.CMP32, Opcode.CMP64, Opcode.CMPF):
             return Interval(0, 1)
-        if opcode in (Opcode.EXTEND8, Opcode.EXTEND16, Opcode.EXTEND32):
-            bits = {Opcode.EXTEND8: 8, Opcode.EXTEND16: 16,
-                    Opcode.EXTEND32: 32}[opcode]
+        if opcode in EXTEND_OPS:
+            bits = EXTEND_BITS[opcode]
             src = self.range_of_use(instr, 0)
             lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
             if src.within(lo, hi):
                 return src
             return Interval(lo, hi)
         if opcode in (Opcode.ZEXT8, Opcode.ZEXT16):
-            bits = 8 if opcode is Opcode.ZEXT8 else 16
+            bits = EXTEND_BITS[opcode]
             src = self.range_of_use(instr, 0)
             if src.within(0, (1 << bits) - 1):
                 return src
@@ -171,7 +153,7 @@ class ValueRanges:
             return _clamped(min(corners), max(corners))
         if opcode is Opcode.AND32:
             for operand in (0, 1):
-                value = self.const_of_use(instr, operand)
+                value = self.chains.const_of(instr, operand)
                 if isinstance(value, int) and 0 <= value <= INT32_MAX:
                     return Interval(0, value)
             a = self.range_of_use(instr, 0)
@@ -180,14 +162,14 @@ class ValueRanges:
                 return Interval(0, min(a.hi, b.hi))
             return TOP
         if opcode is Opcode.USHR32:
-            amount = self.const_of_use(instr, 1)
+            amount = self.chains.const_of(instr, 1)
             if isinstance(amount, int):
                 amount &= 31
                 if amount > 0:
                     return Interval(0, (1 << (32 - amount)) - 1)
             return TOP
         if opcode is Opcode.SHR32:
-            amount = self.const_of_use(instr, 1)
+            amount = self.chains.const_of(instr, 1)
             src = self.range_of_use(instr, 0)
             if isinstance(amount, int):
                 amount &= 31
@@ -195,7 +177,7 @@ class ValueRanges:
             return Interval(min(src.lo, -1) if src.lo < 0 else 0,
                             max(src.hi, 0) if src.hi > 0 else 0)
         if opcode is Opcode.REM32:
-            divisor = self.const_of_use(instr, 1)
+            divisor = self.chains.const_of(instr, 1)
             if isinstance(divisor, int) and divisor != 0:
                 bound = abs(sign_extend(divisor, 32)) - 1
                 dividend = self.range_of_use(instr, 0)
@@ -203,7 +185,7 @@ class ValueRanges:
                 return Interval(lo, bound)
             return TOP
         if opcode is Opcode.DIV32:
-            divisor = self.const_of_use(instr, 1)
+            divisor = self.chains.const_of(instr, 1)
             dividend = self.range_of_use(instr, 0)
             if (isinstance(divisor, int) and divisor > 0
                     and not dividend.is_top):
@@ -240,7 +222,7 @@ class ValueRanges:
         dest = instr.dest
         if dest is None or not instr.srcs or instr.srcs[0].name != dest.name:
             return None
-        step = self.const_of_use(instr, 1)
+        step = self.chains.const_of(instr, 1)
         if not isinstance(step, int):
             return None
         step = sign_extend(step, 32)

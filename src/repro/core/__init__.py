@@ -17,14 +17,14 @@ from .config import (
 )
 from .convert64 import convert_function
 from .elimination import FunctionStats, run_sign_extension_elimination
-from .first_algorithm import is_removable_extend32, run_first_algorithm
+from .first_algorithm import run_first_algorithm
 from .insertion import (
     function_has_loop,
     insert_before_requiring_uses,
     insert_dummy_markers,
     remove_dummy_markers,
 )
-from .ordering import is_candidate_extend, order_candidates
+from .ordering import order_candidates
 from .pde_insertion import run_pde_insertion
 from .pipeline import CompileResult, compile_ir
 
@@ -44,8 +44,6 @@ __all__ = [
     "function_has_loop",
     "insert_before_requiring_uses",
     "insert_dummy_markers",
-    "is_candidate_extend",
-    "is_removable_extend32",
     "order_candidates",
     "remove_dummy_markers",
     "run_first_algorithm",

@@ -93,11 +93,6 @@ class Eliminator:
         self._trail: list[str] | None = None
         self._trail_theorems: list[int] | None = None
         self._trail_dummy = False
-        self._block_of: dict[int, str] = {}
-        if telemetry is not None:
-            for block in func.blocks:
-                for instr in block.instrs:
-                    self._block_of[instr.uid] = block.label
 
     # -- the paper's EliminateOneExtend -------------------------------------
 
@@ -166,7 +161,7 @@ class Eliminator:
             cause = CAUSE_REQUIRED
         self.telemetry.decisions.add(DecisionRecord(
             function=self.func.name,
-            block=self._block_of.get(ext.uid, "?"),
+            block=self.chains.block_of(ext).label,
             instr_uid=ext.uid,
             instr=str(ext),
             width=width,
@@ -237,7 +232,7 @@ class Eliminator:
             # bits, so the extension is unneeded when the mask fits below
             # the extension width — regardless of downstream uses.
             if instr.opcode is Opcode.AND32:
-                other = self.ranges.const_of_use(instr, 1 - index)
+                other = self.chains.const_of(instr, 1 - index)
                 if (isinstance(other, int) and 0 <= other <= INT32_MAX
                         and other.bit_length() <= width):
                     return False
@@ -306,8 +301,7 @@ class Eliminator:
             # value.  The fuzz campaign's oracle must catch the
             # resulting miscompiles.
             return False
-        guaranteed = canonical_bits(instr, self.traits,
-                                    self.ranges.const_of_use)
+        guaranteed = canonical_bits(instr, self.traits, self.chains.const_of)
         if guaranteed is not None and guaranteed <= width:
             if (self._trail is not None
                     and instr.opcode is Opcode.JUST_EXTENDED):
@@ -399,7 +393,7 @@ class Eliminator:
             return False  # pessimistic on cycles
         self._zero_flags.add(instr.uid)
         try:
-            if upper32_zero(instr, self.traits, self.ranges.const_of_use):
+            if upper32_zero(instr, self.traits, self.chains.const_of):
                 return True
             if instr.opcode is Opcode.MOV:
                 return self._operand_upper_zero(instr, 0, bypass)
@@ -447,23 +441,32 @@ class Eliminator:
             instr = definition.instr
             if instr.uid not in tainted and instr is not ext:
                 continue
-            if not self._theorem_def_ok(instr, ext):
+            if not self._theorem_def_ok(definition, ext):
                 return True
         return False
 
-    def _theorem_def_ok(self, instr: Instr, ext: Instr) -> bool:
+    def _bypassing(self, defs, ext: Instr):
+        """``defs`` as they will be once ``ext`` is removed: the
+        candidate gives way to the definitions reaching its source.
+        Lazy, so a caller that stops at the first failure evaluates no
+        more than it needs; the memo and cycle flags make that order
+        matter."""
+        for definition in defs:
+            if definition.instr is ext:
+                yield from self.chains.defs_for(ext, 0)
+            else:
+                yield definition
+
+    def _theorem_def_ok(self, definition, ext: Instr) -> bool:
+        instr = definition.instr
         if instr.uid in self._array_flags:
             return False  # pessimistic: rely on dummy markers, not cycles
         self._array_flags.add(instr.uid)
         try:
-            if instr is ext:
-                # Direct case a[i] where i's definition is the candidate:
-                # the raw source definitions must each be safe.
-                for definition in self.chains.defs_for(ext, 0):
-                    if not self._theorem_value_ok(definition, ext):
-                        return False
-                return True
-            return self._theorem_value_instr_ok(instr, ext)
+            # a[i] where i's definition is the candidate checks the
+            # candidate's raw source definitions instead.
+            return all(self._theorem_value_ok(d, ext)
+                       for d in self._bypassing((definition,), ext))
         finally:
             self._array_flags.discard(instr.uid)
 
@@ -496,15 +499,8 @@ class Eliminator:
         return False
 
     def _theorem_operand_ok(self, instr: Instr, index: int, ext: Instr) -> bool:
-        for definition in self.chains.defs_for(instr, index):
-            if definition.instr is ext:
-                for up_def in self.chains.defs_for(ext, 0):
-                    if not self._theorem_value_ok(up_def, ext):
-                        return False
-                continue
-            if not self._theorem_value_ok(definition, ext):
-                return False
-        return True
+        return all(self._theorem_value_ok(d, ext) for d in
+                   self._bypassing(self.chains.defs_for(instr, index), ext))
 
     def _theorem_bound(self) -> int:
         """Lower bound on the non-negative-ish operand: Theorem 2 needs
@@ -565,18 +561,8 @@ class Eliminator:
 
     def _operand_canonical(self, instr: Instr, index: int, ext: Instr) -> bool:
         defs = self.chains.defs_for(instr, index)
-        if not defs:
-            return False
-        for definition in defs:
-            if definition.instr is ext:
-                # Bypass the candidate: its source must be canonical.
-                for up_def in self.chains.defs_for(ext, 0):
-                    if self.analyze_def(up_def, 32):
-                        return False
-                continue
-            if self.analyze_def(definition, 32):
-                return False
-        return True
+        return bool(defs) and not any(
+            self.analyze_def(d, 32) for d in self._bypassing(defs, ext))
 
     def _def_canonical_quick(self, instr: Instr, ext: Instr) -> bool:
         if instr is ext:

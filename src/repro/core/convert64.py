@@ -23,7 +23,7 @@ from __future__ import annotations
 from ..analysis.ud_du import Chains
 from ..ir.function import Function
 from ..ir.instruction import Instr
-from ..ir.opcodes import Opcode
+from ..ir.opcodes import EXTEND_BITS, Opcode
 from ..ir.semantics import (
     UseKind,
     canonical_bits,
@@ -45,19 +45,16 @@ def convert_function(func: Function, traits: MachineTraits,
     func.invalidate_cfg()
 
 
-_EXTEND_FOR_WIDTH = {8: Opcode.EXTEND8, 16: Opcode.EXTEND16, 32: Opcode.EXTEND32}
-
-
-def _semantic_def_width(instr: Instr) -> int:
-    """Width of the value the destination semantically carries."""
+def _semantic_extend(instr: Instr) -> Opcode:
+    """The extension that gives the destination its semantic value."""
     if instr.opcode in (Opcode.ALOAD, Opcode.GLOAD):
-        elem = instr.elem
-        if elem is not None and elem.is_narrow_int and elem.signed:
-            return elem.bits
+        if instr.elem is ScalarType.I8:
+            return Opcode.EXTEND8
+        if instr.elem is ScalarType.I16:
+            return Opcode.EXTEND16
         # u16 (char) semantically zero-extends, which every machine's
         # narrow load already provides; treat as a 32-bit value.
-        return 32
-    return 32
+    return Opcode.EXTEND32
 
 
 def _insert_after_defs(func: Function, traits: MachineTraits,
@@ -69,10 +66,10 @@ def _insert_after_defs(func: Function, traits: MachineTraits,
             dest = instr.dest
             if dest is None or dest.type is not ScalarType.I32:
                 continue
-            if instr.opcode in (Opcode.EXTEND8, Opcode.EXTEND16,
-                                Opcode.EXTEND32, Opcode.JUST_EXTENDED):
+            if instr.is_extend or instr.opcode is Opcode.JUST_EXTENDED:
                 continue
-            width = _semantic_def_width(instr)
+            extend = _semantic_extend(instr)
+            width = EXTEND_BITS[extend]
             if semantic_only and width >= 32:
                 continue
             if not semantic_only and propagates_canonical(instr.opcode):
@@ -83,10 +80,7 @@ def _insert_after_defs(func: Function, traits: MachineTraits,
             guaranteed = canonical_bits(instr, traits)
             if guaranteed is not None and guaranteed <= width:
                 continue
-            rewritten.append(
-                Instr(_EXTEND_FOR_WIDTH[width], dest, (dest,),
-                      comment="convert64")
-            )
+            rewritten.append(Instr(extend, dest, (dest,), comment="convert64"))
         block.instrs = rewritten
 
 

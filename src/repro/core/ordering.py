@@ -14,19 +14,6 @@ from ..analysis.cfg import reverse_depth_first_order
 from ..analysis.frequency import BranchProfile, estimate_frequencies
 from ..ir.function import Function
 from ..ir.instruction import Instr
-from ..ir.opcodes import EXTEND_OPS
-from ..ir.types import ScalarType
-
-
-def is_candidate_extend(instr: Instr) -> bool:
-    """A same-register narrow extension, eligible for elimination."""
-    return (
-        instr.opcode in EXTEND_OPS
-        and instr.dest is not None
-        and instr.dest.type is ScalarType.I32
-        and len(instr.srcs) == 1
-        and instr.dest.name == instr.srcs[0].name
-    )
 
 
 def order_candidates(
@@ -45,12 +32,12 @@ def order_candidates(
         ordered = [block for _, block in blocks]
         return [
             instr for block in ordered for instr in block.instrs
-            if is_candidate_extend(instr)
+            if instr.is_self_extend
         ]
 
     candidates: list[Instr] = []
     for block in reverse_depth_first_order(func):
         for instr in reversed(block.instrs):
-            if is_candidate_extend(instr):
+            if instr.is_self_extend:
                 candidates.append(instr)
     return candidates

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .opcodes import OP_INFO, Cond, Opcode, OpInfo, Role
+from .opcodes import EXTEND_OPS, OP_INFO, Cond, Opcode, OpInfo, Role
 from .types import ScalarType
 
 _uid_counter = itertools.count(1)
@@ -94,7 +94,16 @@ class Instr:
 
     @property
     def is_extend(self) -> bool:
-        return self.opcode in (Opcode.EXTEND8, Opcode.EXTEND16, Opcode.EXTEND32)
+        return self.opcode in EXTEND_OPS
+
+    @property
+    def is_self_extend(self) -> bool:
+        """``r = extendN(r)`` on an ``i32`` register: an elimination
+        candidate, and a computation that recomputing leaves unchanged."""
+        dest = self.dest
+        return (self.opcode in EXTEND_OPS and dest is not None
+                and dest.type is ScalarType.I32 and len(self.srcs) == 1
+                and self.srcs[0].name == dest.name)
 
     @property
     def has_side_effects(self) -> bool:

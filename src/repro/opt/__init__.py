@@ -6,13 +6,7 @@ from .bcm import busy_code_motion
 from .constant_fold import fold_constants
 from .copy_prop import propagate_copies
 from .dce import eliminate_dead_code
-from .expr import (
-    ExprKey,
-    PURE_OPS,
-    expr_key,
-    is_idempotent_self_extend,
-    kills_expr,
-)
+from .expr import ExprKey, ExprUniverse, PURE_OPS, expr_key
 from .gcse import eliminate_common_subexpressions
 from .inline import inline_small_functions
 from .licm import hoist_loop_invariants
@@ -31,6 +25,7 @@ __all__ = [
     "BUCKET_OTHERS",
     "BUCKET_SIGN_EXT",
     "ExprKey",
+    "ExprUniverse",
     "PURE_OPS",
     "Pass",
     "PassManager",
@@ -42,8 +37,6 @@ __all__ = [
     "fold_constants",
     "hoist_loop_invariants",
     "inline_small_functions",
-    "is_idempotent_self_extend",
-    "kills_expr",
     "propagate_copies",
     "simplify",
 ]

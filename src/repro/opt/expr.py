@@ -1,18 +1,23 @@
-"""Expression keys for CSE/code motion.
+"""Expression keys and the expression universe for CSE/code motion.
 
 An expression is the lexical shape of a pure computation: opcode,
 condition, element kind, immediate, and source register *names*.  Two
 instructions with equal keys compute the same value whenever their
 source registers hold the same values — the classic non-SSA CSE notion,
-made safe by kill-tracking on register redefinition.
+made safe by kill-tracking on register redefinition.  GCSE and BCM both
+number a function's expressions with :class:`ExprUniverse` and ask it
+which bits each instruction kills and generates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..ir.builder import _BIN_RESULT, _UN_RESULT
+from ..ir.function import Function
 from ..ir.instruction import Instr
 from ..ir.opcodes import Opcode
+from ..ir.types import ScalarType
 
 #: Pure, rematerializable opcodes eligible for CSE and code motion.
 PURE_OPS = frozenset(
@@ -57,25 +62,65 @@ def expr_key(instr: Instr) -> ExprKey | None:
     return ExprKey(instr.opcode, instr.cond, instr.elem, instr.imm, srcs)
 
 
-def is_idempotent_self_extend(instr: Instr) -> bool:
-    """``r = extendN(r)``: recomputing it does not change the value, so
-    the instruction's own definition of ``r`` does not kill the
-    expression ``extendN(r)``.  This is what lets code motion hoist
-    loop-invariant sign extensions (the paper's Figure 5 step 2)."""
-    return (
-        instr.is_extend
-        and instr.dest is not None
-        and len(instr.srcs) == 1
-        and instr.dest.name == instr.srcs[0].name
-    )
+class ExprUniverse:
+    """The expressions one function computes, one bit each, numbered in
+    order of first appearance."""
+
+    def __init__(self, func: Function) -> None:
+        #: expression key -> bit index
+        self.bits: dict[ExprKey, int] = {}
+        #: expression key -> the first instruction computing it
+        self.exemplar: dict[ExprKey, Instr] = {}
+        self._reading: dict[str, int] = {}  # register -> expressions
+        for _, instr in func.instructions():
+            key = expr_key(instr)
+            if key is not None and key not in self.bits:
+                self.bits[key] = len(self.bits)
+                self.exemplar[key] = instr
+        for key, index in self.bits.items():
+            for name in key.srcs:
+                self._reading[name] = self._reading.get(name, 0) | (1 << index)
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def kill_mask(self, instr: Instr, key: ExprKey | None) -> int:
+        """The expressions whose value ``instr`` (with expression key
+        ``key``) changes: every one that reads its destination.
+
+        A self-extension ``r = extendN(r)`` does not kill its own
+        expression: recomputing it leaves ``r`` unchanged.  This is
+        what lets code motion hoist loop-invariant sign extensions (the
+        paper's Figure 5 step 2).
+        """
+        if instr.dest is None:
+            return 0
+        mask = self._reading.get(instr.dest.name, 0)
+        if instr.is_self_extend:
+            mask &= ~(1 << self.bits[key])
+        return mask
+
+    def gen_mask(self, instr: Instr, key: ExprKey | None) -> int:
+        """The bit of ``key`` if its value is still available after
+        ``instr`` computes it, else 0.
+
+        It is not when the destination is one of the expression's own
+        operands (``v = fadd v, x`` changes ``v``, so "fadd v, x" now
+        denotes a different value), except for a self-extension.
+        """
+        if key is None:
+            return 0
+        if instr.dest.name in key.srcs and not instr.is_self_extend:
+            return 0
+        return 1 << self.bits[key]
 
 
-def kills_expr(instr: Instr, key: ExprKey) -> bool:
-    """Does ``instr`` invalidate the cached value of ``key``?"""
-    if instr.dest is None:
-        return False
-    if instr.dest.name not in key.srcs:
-        return False
-    if is_idempotent_self_extend(instr) and expr_key(instr) == key:
-        return False
-    return True
+def result_type(key: ExprKey) -> ScalarType:
+    """The type of a temporary that holds the value of ``key``."""
+    if key.opcode in _BIN_RESULT:
+        return _BIN_RESULT[key.opcode]
+    if key.opcode in _UN_RESULT:
+        return _UN_RESULT[key.opcode]
+    if key.opcode in (Opcode.CMP32, Opcode.CMP64, Opcode.CMPF):
+        return ScalarType.I32
+    return ScalarType.I64

@@ -15,24 +15,15 @@ from ..analysis.ud_du import ChainsHolder
 from ..ir.function import Function
 from ..ir.instruction import Instr
 from ..ir.opcodes import Opcode
-from .expr import ExprKey, expr_key, is_idempotent_self_extend, kills_expr
+from .expr import ExprKey, ExprUniverse, expr_key, result_type
 
 
 def eliminate_common_subexpressions(
         func: Function, holder: ChainsHolder | None = None) -> bool:
     func.build_cfg()
-    universe: dict[ExprKey, int] = {}
-    for _, instr in func.instructions():
-        key = expr_key(instr)
-        if key is not None and key not in universe:
-            universe[key] = len(universe)
+    universe = ExprUniverse(func)
     if not universe:
         return False
-    keys = list(universe)
-    exprs_using: dict[str, int] = {}
-    for key, bit in universe.items():
-        for name in key.srcs:
-            exprs_using[name] = exprs_using.get(name, 0) | (1 << bit)
 
     problem = DataflowProblem(
         func, Direction.FORWARD, Meet.INTERSECT, len(universe), boundary=0
@@ -43,16 +34,10 @@ def eliminate_common_subexpressions(
         killed = 0
         for instr in block.instrs:
             key = expr_key(instr)
-            if instr.dest is not None:
-                mask = exprs_using.get(instr.dest.name, 0)
-                if is_idempotent_self_extend(instr) and key in universe:
-                    mask &= ~(1 << universe[key])
-                available &= ~mask
-                killed |= mask
-            if key is not None and _generates(instr, key):
-                bit = 1 << universe[key]
-                available |= bit
-                killed &= ~bit
+            kill = universe.kill_mask(instr, key)
+            gen = universe.gen_mask(instr, key)
+            available = (available & ~kill) | gen
+            killed = (killed | kill) & ~gen
         facts.gen = available
         facts.kill = killed
     problem.solve()
@@ -63,24 +48,19 @@ def eliminate_common_subexpressions(
         available = problem.facts_for(block).in_
         for instr in block.instrs:
             key = expr_key(instr)
-            if key is not None and (available >> universe[key]) & 1:
+            if key is not None and (available >> universe.bits[key]) & 1:
                 redundant.append((block, instr))
                 redundant_keys.add(key)
-            if instr.dest is not None:
-                mask = exprs_using.get(instr.dest.name, 0)
-                if is_idempotent_self_extend(instr) and key in universe:
-                    mask &= ~(1 << universe[key])
-                available &= ~mask
-            if key is not None and _generates(instr, key):
-                available |= 1 << universe[key]
+            available = ((available & ~universe.kill_mask(instr, key))
+                         | universe.gen_mask(instr, key))
 
     if not redundant:
         return False
 
     # First-appearance order, so temporary names do not follow hashing.
     temps = {
-        key: func.new_reg(_result_type(key), "cse")
-        for key in keys if key in redundant_keys
+        key: func.new_reg(result_type(key), "cse")
+        for key in universe.bits if key in redundant_keys
     }
     redundant_uids = {instr.uid for _, instr in redundant}
 
@@ -106,30 +86,3 @@ def eliminate_common_subexpressions(
     if holder is not None:
         holder.invalidate()
     return True
-
-
-def _generates(instr: Instr, key: ExprKey) -> bool:
-    """Does computing ``instr`` leave ``key`` available afterwards?
-
-    Not if the destination is one of the expression's own operands
-    (``v = fadd v, x`` changes ``v``, so "fadd v, x" now denotes a
-    different value) — except for idempotent self-extensions.
-    """
-    if instr.dest is None:
-        return True
-    if instr.dest.name not in key.srcs:
-        return True
-    return is_idempotent_self_extend(instr)
-
-
-def _result_type(key: ExprKey):
-    from ..ir.builder import _BIN_RESULT, _UN_RESULT
-    from ..ir.types import ScalarType
-
-    if key.opcode in _BIN_RESULT:
-        return _BIN_RESULT[key.opcode]
-    if key.opcode in _UN_RESULT:
-        return _UN_RESULT[key.opcode]
-    if key.opcode in (Opcode.CMP32, Opcode.CMP64, Opcode.CMPF):
-        return ScalarType.I32
-    return ScalarType.I64

@@ -19,7 +19,7 @@ from ..ir.block import Block
 from ..ir.function import Function
 from ..ir.instruction import Instr
 from ..ir.opcodes import Opcode
-from .expr import PURE_OPS, is_idempotent_self_extend
+from .expr import PURE_OPS
 
 _MAX_ROUNDS = 12
 
@@ -85,7 +85,7 @@ def _is_hoistable(instr: Instr, loop: Loop, defs_in_loop: dict[str, int],
                   liveness: Liveness) -> bool:
     if instr.opcode not in PURE_OPS or instr.dest is None:
         return False
-    self_extend = is_idempotent_self_extend(instr)
+    self_extend = instr.is_self_extend
     for src in instr.srcs:
         inside = defs_in_loop.get(src.name, 0)
         if self_extend and src.name == instr.dest.name:

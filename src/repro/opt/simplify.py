@@ -48,22 +48,6 @@ def simplify(func: Function, holder: ChainsHolder | None = None) -> bool:
     return changed
 
 
-def _const_of(chains: Chains, instr: Instr, index: int) -> int | None:
-    defs = chains.defs_for(instr, index)
-    value: int | None = None
-    for definition in defs:
-        src = definition.instr
-        if src is None or src.opcode is not Opcode.CONST:
-            return None
-        if not isinstance(src.imm, int):
-            return None
-        if value is None:
-            value = src.imm
-        elif value != src.imm:
-            return None
-    return value
-
-
 def _norm(value: int, opcode: Opcode) -> int:
     bits = 64 if "64" in opcode.value else 32
     return sign_extend(value, bits)
@@ -76,20 +60,21 @@ def _algebraic(func: Function, chains: Chains) -> bool:
             opcode = instr.opcode
             if opcode not in _NEUTRAL_RIGHT or len(instr.srcs) != 2:
                 continue
-            rhs = _const_of(chains, instr, 1)
-            lhs = _const_of(chains, instr, 0)
+            rhs = chains.const_of(instr, 1)
+            lhs = chains.const_of(instr, 0)
 
             replacement: Instr | None = None
-            if rhs is not None and opcode in _ZERO_RIGHT \
+            if isinstance(rhs, int) and opcode in _ZERO_RIGHT \
                     and _norm(rhs, opcode) == _ZERO_RIGHT[opcode]:
                 zero_type = (ScalarType.I64 if "64" in opcode.value
                              else ScalarType.I32)
                 replacement = Instr(Opcode.CONST, instr.dest, imm=0,
                                     elem=zero_type, comment="simplified")
-            elif rhs is not None and _norm(rhs, opcode) == _NEUTRAL_RIGHT[opcode]:
+            elif (isinstance(rhs, int)
+                  and _norm(rhs, opcode) == _NEUTRAL_RIGHT[opcode]):
                 replacement = Instr(Opcode.MOV, instr.dest, (instr.srcs[0],),
                                     comment="simplified")
-            elif (lhs is not None and opcode in _NEUTRAL_LEFT
+            elif (isinstance(lhs, int) and opcode in _NEUTRAL_LEFT
                   and _norm(lhs, opcode) == _NEUTRAL_LEFT[opcode]):
                 replacement = Instr(Opcode.MOV, instr.dest, (instr.srcs[1],),
                                     comment="simplified")
@@ -106,8 +91,8 @@ def _fold_branches(func: Function, chains: Chains) -> bool:
         terminator = block.instrs[-1] if block.instrs else None
         if terminator is None or terminator.opcode is not Opcode.BR:
             continue
-        value = _const_of(chains, terminator, 0)
-        if value is None:
+        value = chains.const_of(terminator, 0)
+        if not isinstance(value, int):
             continue
         taken = low32(value) != 0
         target = terminator.targets[0] if taken else terminator.targets[1]

@@ -199,8 +199,9 @@ class TestConstOracle:
         b.ret(result)
         func = program.main
         chains = Chains(func)
-        ranges = ValueRanges(chains, IA64)
         add = [i for _, i in func.instructions()
                if i.opcode is Opcode.ADD32][0]
-        assert ranges.const_of_use(add, 0) == 77
-        assert ranges.const_of_use(add, 1) == 77
+        ret = func.entry.instrs[-1]
+        assert chains.const_of(add, 0) == 77
+        assert chains.const_of(add, 1) == 77
+        assert chains.const_of(ret, 0) is None  # defined by the add

@@ -4,17 +4,24 @@ import time
 
 import pytest
 
-from repro.ir import Cond, Instr, Opcode, ScalarType, VReg
+from repro.ir import (
+    Cond,
+    Instr,
+    Opcode,
+    Program,
+    ScalarType,
+    VReg,
+    build_function,
+)
 from repro.opt import (
     BUCKET_CHAINS,
     BUCKET_OTHERS,
     BUCKET_SIGN_EXT,
+    ExprUniverse,
     Pass,
     PassManager,
     Timing,
     expr_key,
-    is_idempotent_self_extend,
-    kills_expr,
 )
 from repro.telemetry import Tracer
 
@@ -49,21 +56,34 @@ class TestExprKey:
     def test_self_extend_detection(self):
         same = Instr(Opcode.EXTEND32, _r("x"), (_r("x"),))
         different = Instr(Opcode.EXTEND32, _r("y"), (_r("x"),))
-        assert is_idempotent_self_extend(same)
-        assert not is_idempotent_self_extend(different)
+        assert same.is_self_extend
+        assert not different.is_self_extend
 
     def test_kills_expr(self):
-        add = Instr(Opcode.ADD32, _r("d"), (_r("x"), _r("y")))
-        key = expr_key(add)
-        killer = Instr(Opcode.MOV, _r("x"), (_r("z"),))
+        b = build_function(Program(), "main",
+                           [("x", ScalarType.I32), ("y", ScalarType.I32)],
+                           ScalarType.I32)
+        x, y = b.func.params
+        add = Instr(Opcode.ADD32, _r("d"), (x, y))
+        ext = Instr(Opcode.EXTEND32, x, (x,))
+        b.emit(add)
+        b.emit(ext)
+        b.ret(x)
+        universe = ExprUniverse(b.func)
+        add_bit = 1 << universe.bits[expr_key(add)]
+        ext_bit = 1 << universe.bits[expr_key(ext)]
+        killer = Instr(Opcode.MOV, x, (_r("z"),))
         unrelated = Instr(Opcode.MOV, _r("w"), (_r("z"),))
-        assert kills_expr(killer, key)
-        assert not kills_expr(unrelated, key)
-        # The idempotent self-extend does not kill its own expression.
-        ext = Instr(Opcode.EXTEND32, _r("x"), (_r("x"),))
-        assert not kills_expr(ext, expr_key(ext))
-        # But it does kill other expressions reading x.
-        assert kills_expr(ext, key)
+        assert universe.kill_mask(killer, None) == add_bit | ext_bit
+        assert universe.kill_mask(unrelated, None) == 0
+        # The idempotent self-extend does not kill its own expression,
+        # but it does kill other expressions reading x.
+        assert universe.kill_mask(ext, expr_key(ext)) == add_bit
+        # Both stay available after computing them; x = add x, y does not.
+        assert universe.gen_mask(add, expr_key(add)) == add_bit
+        assert universe.gen_mask(ext, expr_key(ext)) == ext_bit
+        overwrite = Instr(Opcode.ADD32, x, (x, y))
+        assert universe.gen_mask(overwrite, expr_key(overwrite)) == 0
 
 
 class TestTiming:
