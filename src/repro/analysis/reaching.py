@@ -9,24 +9,27 @@ of definitions reaching its start.  UD/DU chains are derived in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..ir.function import Function
 from ..ir.instruction import Instr, VReg
 from .dataflow import DataflowProblem, Direction, Meet
 
 
-@dataclass(frozen=True)
 class Definition:
     """One definition of a virtual register.
 
-    ``instr`` is ``None`` for parameter pseudo-definitions.
+    ``instr`` is ``None`` for parameter pseudo-definitions.  It is
+    mutable so that :meth:`repro.analysis.ud_du.Chains.replace` can
+    repoint it at a replacement instruction; ``index`` never changes.
     """
 
-    index: int
-    reg: VReg
-    instr: Instr | None
-    block_label: str | None
+    __slots__ = ("index", "reg", "instr", "block_label")
+
+    def __init__(self, index: int, reg: VReg, instr: Instr | None,
+                 block_label: str | None) -> None:
+        self.index = index
+        self.reg = reg
+        self.instr = instr
+        self.block_label = block_label
 
     @property
     def is_param(self) -> bool:

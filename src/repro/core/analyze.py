@@ -25,8 +25,9 @@ Traversal flags (the paper's USE/DEF/ARRAY flags) are per-candidate.
 USE flags break cycles optimistically (a revisited use contributes no
 new requirement — plain reachability).  DEF flags are optimistic too,
 which is sound because Case-2 recursion only passes through copies and
-bitwise operations, which preserve canonicality.  ARRAY theorem cycles
-resolve *pessimistically*, because canonicality is not invariant through
+bitwise operations, which preserve canonicality.  ARRAY theorem cycles,
+whether through an index's definitions or through copies, resolve
+*pessimistically*, because canonicality is not invariant through
 wrap-around +/-: the ``just_extended`` dummy markers after array
 accesses are what make loop-carried index reasoning succeed, exactly as
 in the paper.
@@ -85,6 +86,7 @@ class Eliminator:
         self._canon_in_progress: set[tuple[int, int]] = set()
         self._zero_flags: set[int] = set()
         self._array_flags: set[int] = set()
+        self._copy_flags: set[int] = set()
         # Optional decision recording.  ``_trail`` is non-None only
         # while a candidate is being analyzed with telemetry attached;
         # every recording site is guarded on it, so the disabled path
@@ -103,6 +105,7 @@ class Eliminator:
         self._canon_in_progress = set()
         self._zero_flags = set()
         self._array_flags = set()
+        self._copy_flags = set()
         width = EXTEND_BITS[ext.opcode]
         recording = self.telemetry is not None
         if recording:
@@ -499,8 +502,17 @@ class Eliminator:
         return False
 
     def _theorem_operand_ok(self, instr: Instr, index: int, ext: Instr) -> bool:
-        return all(self._theorem_value_ok(d, ext) for d in
-                   self._bypassing(self.chains.defs_for(instr, index), ext))
+        # A copy cycle (``t = mov a; a = mov t``) leads back here; like
+        # an ARRAY cycle, a copy met again on the path fails.
+        if instr.uid in self._copy_flags:
+            return False
+        self._copy_flags.add(instr.uid)
+        try:
+            return all(self._theorem_value_ok(d, ext) for d in
+                       self._bypassing(self.chains.defs_for(instr, index),
+                                       ext))
+        finally:
+            self._copy_flags.discard(instr.uid)
 
     def _theorem_bound(self) -> int:
         """Lower bound on the non-negative-ish operand: Theorem 2 needs

@@ -19,14 +19,15 @@ KEYWORDS = frozenset(
     }
 )
 
-# Longest-first so that multi-character operators win.
-OPERATORS = [
+OPERATORS = frozenset({
     ">>>=", "<<=", ">>=", ">>>",
     "==", "!=", "<=", ">=", "&&", "||", "<<", ">>",
     "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
     "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "=",
     "?", ":", ";", ",", ".", "(", ")", "[", "]", "{", "}",
-]
+})
+# Longest first, so that multi-character operators win.
+_OPERATOR_LENGTHS = sorted({len(op) for op in OPERATORS}, reverse=True)
 
 
 class TokKind(enum.Enum):
@@ -115,8 +116,11 @@ def tokenize(source: str) -> list[Token]:
             tokens.append(token)
             continue
 
-        for op in OPERATORS:
-            if source.startswith(op, position):
+        for size in _OPERATOR_LENGTHS:
+            # Near the end of the source the slice is shorter than
+            # ``size``, so the token's own length is what to skip.
+            op = source[position:position + size]
+            if op in OPERATORS:
                 tokens.append(Token(TokKind.OP, op, None, line, column()))
                 position += len(op)
                 break

@@ -105,6 +105,11 @@ class Opcode(enum.Enum):
     SINK = "sink"  # observable output (checksum accumulator)
     NOP = "nop"
 
+    # Members are singletons that compare by identity, so they can hash
+    # by it too: ``Enum.__hash__`` hashes the name in Python, once per
+    # lookup in the opcode sets and tables the compiler consults.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Opcode.{self.name}"
 

@@ -22,7 +22,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..telemetry.tracer import Tracer
 
 #: A pass gets the function and the chains it shares with the other
-#: passes; it calls ``holder.invalidate()`` whenever it edits the function.
+#: passes; whenever it edits the function it makes the same edit to the
+#: chains or calls ``holder.invalidate()``.
 PassFn = Callable[[Function, ChainsHolder], bool]
 
 BUCKET_SIGN_EXT = "sign extension optimizations"

@@ -34,11 +34,12 @@ _ZERO_RIGHT = {Opcode.MUL32: 0, Opcode.AND32: 0, Opcode.MUL64: 0,
 def simplify(func: Function, holder: ChainsHolder | None = None) -> bool:
     """Apply algebraic identities and fold constant branches."""
     holder = holder if holder is not None else ChainsHolder(func)
-    changed = False
-    for step in (_algebraic, _fold_branches):
-        if step(func, holder.get()):
-            holder.invalidate()
-            changed = True
+    # The algebraic step keeps the chains in step with its rewrites;
+    # branch folding changes the CFG, so it drops them.
+    changed = _algebraic(func, holder.get())
+    if _fold_branches(func, holder.get()):
+        holder.invalidate()
+        changed = True
     if changed:
         func.invalidate_cfg()
         # Unreachable blocks still feed definitions into the blocks they
@@ -54,9 +55,11 @@ def _norm(value: int, opcode: Opcode) -> int:
 
 
 def _algebraic(func: Function, chains: Chains) -> bool:
-    changed = False
+    """Rewrite by the identities above, deciding every instruction from
+    the chains as they stood before the first rewrite."""
+    replacements = []
     for block in func.blocks:
-        for position, instr in enumerate(block.instrs):
+        for instr in block.instrs:
             opcode = instr.opcode
             if opcode not in _NEUTRAL_RIGHT or len(instr.srcs) != 2:
                 continue
@@ -80,9 +83,10 @@ def _algebraic(func: Function, chains: Chains) -> bool:
                                     comment="simplified")
 
             if replacement is not None:
-                block.instrs[position] = replacement
-                changed = True
-    return changed
+                replacements.append((instr, replacement))
+    for instr, replacement in replacements:
+        chains.replace(instr, replacement)
+    return bool(replacements)
 
 
 def _fold_branches(func: Function, chains: Chains) -> bool:

@@ -15,6 +15,7 @@ from repro.ir import (
     ScalarType,
     build_function,
 )
+from repro.ir.parser import parse_program
 from repro.machine import IA64
 
 
@@ -187,6 +188,41 @@ class TestTheoremConfig:
         func, eliminator = _setup(build, config)
         for ext in list(_extends(func)):
             assert eliminator.try_eliminate(ext)
+
+
+class TestAnalyzeArray:
+    def test_copy_cycle_fails_instead_of_recursing(self):
+        # ``a`` cycles through two copies.  Its entry value is defined in
+        # a block laid out after the loop, so the candidate's definition
+        # is numbered first and AnalyzeARRAY follows the cycle before
+        # the add's failure could stop it.  ``%a`` is a parameter only
+        # so the parser knows its type; entry's jump to ``init`` kills it.
+        program = parse_program("""
+            func @main(i32, i32) -> i32 params(%p, %a) {
+            entry:
+              %n = const.i32 8
+              %arr = newarray.i32 %n
+              jmp ->init
+            loop:
+              %t = mov %a
+              %a = mov %t
+              %a = extend32 %a
+              %x = aload.i32 %arr, %a
+              br %x, ->loop, ->done
+            init:
+              %a = add32 %p, %p
+              jmp ->loop
+            done:
+              ret %x
+            }
+        """)
+        func = program.main
+        eliminator = Eliminator(func, Chains(func),
+                                VARIANTS["new algorithm (all)"])
+        ext = _first(func, Opcode.EXTEND32)
+        # A revisited copy fails, so the subscript keeps its extension.
+        assert not eliminator.try_eliminate(ext)
+        assert _extends(func) == [ext]
 
 
 class TestStats:

@@ -40,6 +40,20 @@ class TestLexer:
         ops = [t.text for t in tokens if t.kind is TokKind.OP]
         assert ops == [">>>", ">>", ">", ">>>="]
 
+    def test_operators_maximal_munch(self):
+        tokens = tokenize("a>>>=b>>>c>>=d>>e")
+        ops = [t.text for t in tokens if t.kind is TokKind.OP]
+        assert ops == [">>>=", ">>>", ">>=", ">>"]
+
+    def test_operator_at_end_of_input(self):
+        for source, op in (("x >>>", ">>>"), ("x >>", ">>"), ("x+", "+"),
+                           ("f()", ")")):
+            *_, last, eof = tokenize(source)
+            assert (last.kind, last.text) == (TokKind.OP, op)
+            assert last.column == len(source) - len(op) + 1
+            assert (eof.kind, eof.line, eof.column) == (
+                TokKind.EOF, 1, len(source) + 1)
+
     def test_comments_skipped(self):
         tokens = tokenize("a // line\n b /* block\n more */ c")
         idents = [t.text for t in tokens if t.kind is TokKind.IDENT]
