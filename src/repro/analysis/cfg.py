@@ -54,6 +54,20 @@ def postorder(func: Function) -> list[Block]:
     return order
 
 
+def reachable_labels(func: Function) -> set[str]:
+    """The labels of the blocks the entry reaches."""
+    func.build_cfg()
+    seen: set[str] = set()
+    stack = [func.entry]
+    while stack:
+        block = stack.pop()
+        if block.label in seen:
+            continue
+        seen.add(block.label)
+        stack.extend(block.succs)
+    return seen
+
+
 def reverse_postorder(func: Function) -> list[Block]:
     """Reverse postorder: the canonical order for forward dataflow."""
     return list(reversed(postorder(func)))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from ..ir.block import Block
 from ..ir.function import Function
-from .cfg import postorder
+from .cfg import postorder, reachable_labels
 
 
 class DominatorTree:
@@ -21,7 +21,7 @@ class DominatorTree:
         func.build_cfg()
         order = [b for b in reversed(postorder(func))]
         # Restrict to blocks reachable from the entry.
-        reachable = _reachable_labels(func)
+        reachable = reachable_labels(func)
         order = [b for b in order if b.label in reachable]
         for number, block in enumerate(order):
             self._rpo_number[block.label] = number
@@ -75,15 +75,3 @@ class DominatorTree:
         if parent is None or parent is block:
             return None
         return parent
-
-
-def _reachable_labels(func: Function) -> set[str]:
-    seen: set[str] = set()
-    stack = [func.entry]
-    while stack:
-        block = stack.pop()
-        if block.label in seen:
-            continue
-        seen.add(block.label)
-        stack.extend(block.succs)
-    return seen

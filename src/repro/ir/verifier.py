@@ -33,7 +33,10 @@ def verify_function(func: Function, program: Program | None = None) -> None:
         if not block.instrs:
             raise VerificationError(f"{func.name}/{block.label}: empty block")
         for position, instr in enumerate(block.instrs):
-            _verify_instr(func, block.label, instr, labels, defined, program)
+            problem = _instr_problem(instr, labels, defined, program)
+            if problem is not None:
+                raise VerificationError(
+                    f"{func.name}/{block.label}: {instr}: {problem}")
             last = position == len(block.instrs) - 1
             if instr.is_terminator != last:
                 raise VerificationError(
@@ -47,69 +50,67 @@ def verify_program(program: Program) -> None:
         verify_function(func, program)
 
 
-def _verify_instr(
-    func: Function,
-    label: str,
+def _instr_problem(
     instr: Instr,
     labels: set[str],
     defined: set[str],
     program: Program | None,
-) -> None:
-    where = f"{func.name}/{label}: {instr}"
+) -> str | None:
+    """What is wrong with ``instr``, or None.  The caller names the
+    function, block and instruction, so a well-formed instruction is
+    never printed."""
     info = OP_INFO.get(instr.opcode)
     if info is None:
-        raise VerificationError(f"{where}: unknown opcode")
+        return "unknown opcode"
 
     if info.n_srcs >= 0 and len(instr.srcs) != info.n_srcs:
-        raise VerificationError(
-            f"{where}: expected {info.n_srcs} operands, got {len(instr.srcs)}"
-        )
+        return f"expected {info.n_srcs} operands, got {len(instr.srcs)}"
     if info.has_dest and instr.dest is None and instr.opcode is not Opcode.CALL:
-        raise VerificationError(f"{where}: missing destination")
+        return "missing destination"
     if not info.has_dest and instr.dest is not None:
-        raise VerificationError(f"{where}: unexpected destination")
+        return "unexpected destination"
 
     for src in instr.srcs:
         if src.name not in defined:
-            raise VerificationError(f"{where}: use of undefined register {src}")
+            return f"use of undefined register {src}"
 
     if instr.opcode is Opcode.CONST and instr.imm is None:
-        raise VerificationError(f"{where}: CONST without immediate")
+        return "CONST without immediate"
     if instr.opcode in (Opcode.CMP32, Opcode.CMP64, Opcode.CMPF, Opcode.BR):
         if instr.opcode is not Opcode.BR and instr.cond is None:
-            raise VerificationError(f"{where}: compare without condition")
+            return "compare without condition"
     if instr.opcode in (Opcode.ALOAD, Opcode.ASTORE, Opcode.NEWARRAY):
         if instr.elem is None:
-            raise VerificationError(f"{where}: array op without element type")
+            return "array op without element type"
     if instr.opcode in (Opcode.ALOAD, Opcode.ASTORE, Opcode.ARRAYLEN):
         if instr.srcs and instr.srcs[0].type is not ScalarType.REF:
-            raise VerificationError(f"{where}: array operand must be REF")
+            return "array operand must be REF"
     if instr.opcode in (Opcode.GLOAD, Opcode.GSTORE):
         if instr.gname is None:
-            raise VerificationError(f"{where}: global op without name")
+            return "global op without name"
         if program is not None and instr.gname not in program.globals:
-            raise VerificationError(f"{where}: unknown global ${instr.gname}")
+            return f"unknown global ${instr.gname}"
 
     if instr.opcode is Opcode.BR and len(instr.targets) != 2:
-        raise VerificationError(f"{where}: BR needs two targets")
+        return "BR needs two targets"
     if instr.opcode is Opcode.JMP and len(instr.targets) != 1:
-        raise VerificationError(f"{where}: JMP needs one target")
+        return "JMP needs one target"
     for target in instr.targets:
         if target not in labels:
-            raise VerificationError(f"{where}: unknown target {target}")
+            return f"unknown target {target}"
 
     if instr.opcode is Opcode.CALL:
         if instr.callee is None:
-            raise VerificationError(f"{where}: CALL without callee")
+            return "CALL without callee"
         if program is not None:
             callee = program.functions.get(instr.callee)
             if callee is None:
-                raise VerificationError(f"{where}: unknown callee @{instr.callee}")
+                return f"unknown callee @{instr.callee}"
             if len(instr.srcs) != len(callee.sig.params):
-                raise VerificationError(
-                    f"{where}: arity mismatch calling @{instr.callee}: "
-                    f"{len(instr.srcs)} args vs {len(callee.sig.params)} params"
-                )
+                return (f"arity mismatch calling @{instr.callee}: "
+                        f"{len(instr.srcs)} args vs "
+                        f"{len(callee.sig.params)} params")
 
     if instr.opcode is Opcode.RET and len(instr.srcs) > 1:
-        raise VerificationError(f"{where}: RET takes at most one value")
+        return "RET takes at most one value"
+    return None

@@ -6,7 +6,7 @@ from .bcm import busy_code_motion
 from .constant_fold import fold_constants
 from .copy_prop import propagate_copies
 from .dce import eliminate_dead_code
-from .expr import ExprKey, ExprUniverse, PURE_OPS, expr_key
+from .expr import ExprKey, ExprUniverse, PURE_OPS, all_computations, expr_key
 from .gcse import eliminate_common_subexpressions
 from .inline import inline_small_functions
 from .licm import hoist_loop_invariants
@@ -30,6 +30,7 @@ __all__ = [
     "Pass",
     "PassManager",
     "Timing",
+    "all_computations",
     "busy_code_motion",
     "eliminate_common_subexpressions",
     "eliminate_dead_code",

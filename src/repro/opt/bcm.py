@@ -34,7 +34,7 @@ from ..ir.block import Block
 from ..ir.function import Function
 from ..ir.instruction import Instr
 from ..ir.opcodes import Opcode
-from .expr import ExprUniverse, expr_key, result_type
+from .expr import ExprUniverse, all_computations, expr_key, result_type
 from .dce import eliminate_dead_code
 from .copy_prop import propagate_copies
 from .gcse import eliminate_common_subexpressions
@@ -43,7 +43,7 @@ from .gcse import eliminate_common_subexpressions
 def busy_code_motion(func: Function) -> bool:
     """Run one round of BCM-style PRE; returns True when code changed."""
     func.build_cfg()
-    universe = ExprUniverse(func)
+    universe = ExprUniverse(all_computations(func))
     if not universe:
         return False
     full = (1 << len(universe)) - 1

@@ -5,13 +5,21 @@ condition, element kind, immediate, and source register *names*.  Two
 instructions with equal keys compute the same value whenever their
 source registers hold the same values — the classic non-SSA CSE notion,
 made safe by kill-tracking on register redefinition.  GCSE and BCM both
-number a function's expressions with :class:`ExprUniverse` and ask it
-which bits each instruction kills and generates.
+number expressions with :class:`ExprUniverse` and ask it which bits
+each instruction kills and generates.
+
+Each caller chooses which computations get a bit.  BCM numbers every
+expression, since an expression computed once can still be partially
+redundant.  GCSE numbers only the keys computed at least twice:
+available-expression bits are independent of each other, and on code
+the entry reaches a key computed once is never available at its own
+instruction (the first time a path reaches it, nothing has computed
+it), so it can never be fully redundant.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 from ..ir.builder import _BIN_RESULT, _UN_RESULT
 from ..ir.function import Function
@@ -40,8 +48,7 @@ PURE_OPS = frozenset(
 # motion focused), loads (not pure), CONST (rematerialized by folding).
 
 
-@dataclass(frozen=True)
-class ExprKey:
+class ExprKey(NamedTuple):
     opcode: Opcode
     cond: object
     elem: object
@@ -62,19 +69,35 @@ def expr_key(instr: Instr) -> ExprKey | None:
     return ExprKey(instr.opcode, instr.cond, instr.elem, instr.imm, srcs)
 
 
-class ExprUniverse:
-    """The expressions one function computes, one bit each, numbered in
-    order of first appearance."""
+def all_computations(func: Function) -> Iterable[tuple[Instr, ExprKey]]:
+    """Every instruction of ``func`` with an expression key, with that
+    key, in layout order."""
+    for _, instr in func.instructions():
+        key = expr_key(instr)
+        if key is not None:
+            yield instr, key
 
-    def __init__(self, func: Function) -> None:
+
+class ExprUniverse:
+    """The expressions the caller names, one bit each, numbered in
+    order of first appearance.
+
+    ``computations`` yields ``(instruction, key)`` pairs in layout
+    order: BCM passes every computation of the function
+    (:func:`all_computations`), GCSE only those whose key occurs at
+    least twice.  The masks take ``key=None`` for an instruction whose
+    key has no bit.
+    """
+
+    def __init__(self,
+                 computations: Iterable[tuple[Instr, ExprKey]]) -> None:
         #: expression key -> bit index
         self.bits: dict[ExprKey, int] = {}
         #: expression key -> the first instruction computing it
         self.exemplar: dict[ExprKey, Instr] = {}
         self._reading: dict[str, int] = {}  # register -> expressions
-        for _, instr in func.instructions():
-            key = expr_key(instr)
-            if key is not None and key not in self.bits:
+        for instr, key in computations:
+            if key not in self.bits:
                 self.bits[key] = len(self.bits)
                 self.exemplar[key] = instr
         for key, index in self.bits.items():
@@ -85,8 +108,9 @@ class ExprUniverse:
         return len(self.bits)
 
     def kill_mask(self, instr: Instr, key: ExprKey | None) -> int:
-        """The expressions whose value ``instr`` (with expression key
-        ``key``) changes: every one that reads its destination.
+        """The expressions whose value ``instr`` (with numbered
+        expression key ``key``, or None) changes: every one that reads
+        its destination.
 
         A self-extension ``r = extendN(r)`` does not kill its own
         expression: recomputing it leaves ``r`` unchanged.  This is
@@ -96,7 +120,7 @@ class ExprUniverse:
         if instr.dest is None:
             return 0
         mask = self._reading.get(instr.dest.name, 0)
-        if instr.is_self_extend:
+        if mask and key is not None and instr.is_self_extend:
             mask &= ~(1 << self.bits[key])
         return mask
 

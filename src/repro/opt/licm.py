@@ -8,9 +8,18 @@ sign extensions can be moved out of the loop": a same-register
 hoisted, which is sound because the extension only canonicalizes the
 upper bits (the low 32 bits are unchanged, and executing it early on the
 zero-trip path merely refines the register).
+
+Liveness is built on demand, at a round's first question about a
+register live into a loop header; most rounds find no candidate that
+asks.  Every question of a round comes before its first hoist, and a
+hoist ends the round, so the lazily built answer is the one the round
+started with.
 """
 
 from __future__ import annotations
+
+from functools import cache
+from typing import Callable
 
 from ..analysis.liveness import Liveness
 from ..analysis.loops import Loop, LoopForest
@@ -41,7 +50,7 @@ def _one_round(func: Function) -> bool:
     forest = LoopForest(func)
     if not forest.loops:
         return False
-    liveness = Liveness(func)
+    liveness = cache(lambda: Liveness(func))
     changed = False
     # Innermost first: len(body) ascending.
     for loop in sorted(forest.loops, key=lambda l: len(l.body)):
@@ -52,7 +61,8 @@ def _one_round(func: Function) -> bool:
     return changed
 
 
-def _hoist_from_loop(func: Function, loop: Loop, liveness: Liveness) -> bool:
+def _hoist_from_loop(func: Function, loop: Loop,
+                     liveness: Callable[[], Liveness]) -> bool:
     # Block order, not set order, so the preheader's order is stable.
     body = [block for block in func.blocks if block.label in loop.body]
     defs_in_loop: dict[str, int] = {}
@@ -82,7 +92,7 @@ def _hoist_from_loop(func: Function, loop: Loop, liveness: Liveness) -> bool:
 
 
 def _is_hoistable(instr: Instr, loop: Loop, defs_in_loop: dict[str, int],
-                  liveness: Liveness) -> bool:
+                  liveness: Callable[[], Liveness]) -> bool:
     if instr.opcode not in PURE_OPS or instr.dest is None:
         return False
     self_extend = instr.is_self_extend
@@ -101,11 +111,13 @@ def _is_hoistable(instr: Instr, loop: Loop, defs_in_loop: dict[str, int],
     return not _live_into_header(loop, liveness, instr.dest.name)
 
 
-def _live_into_header(loop: Loop, liveness: Liveness, reg_name: str) -> bool:
-    bit = liveness.index_of.get(reg_name)
+def _live_into_header(loop: Loop, liveness: Callable[[], Liveness],
+                      reg_name: str) -> bool:
+    solved = liveness()
+    bit = solved.index_of.get(reg_name)
     if bit is None:
         return False
-    return bool(liveness.live_in(loop.header.label) & (1 << bit))
+    return bool(solved.live_in(loop.header.label) & (1 << bit))
 
 
 def _ensure_preheader(func: Function, loop: Loop) -> Block | None:

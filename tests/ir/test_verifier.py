@@ -65,6 +65,18 @@ def test_rejects_use_of_undefined_register():
         verify_function(func)
 
 
+def test_failure_names_function_block_and_instruction():
+    func = Function("f", FuncSig((), None))
+    block = func.new_block("entry")
+    ghost = VReg("ghost", ScalarType.I32)
+    block.append(Instr(Opcode.MOV, func.new_reg(ScalarType.I32), (ghost,)))
+    block.append(Instr(Opcode.RET))
+    with pytest.raises(VerificationError) as raised:
+        verify_function(func)
+    assert str(raised.value) == (
+        "f/entry1: %t1 = mov %ghost: use of undefined register %ghost")
+
+
 def test_rejects_unknown_branch_target():
     func = Function("f", FuncSig((), None))
     block = func.new_block("entry")

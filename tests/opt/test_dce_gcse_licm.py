@@ -7,7 +7,9 @@ from repro.ir import (
     Program,
     ScalarType,
     build_function,
+    verify_function,
 )
+from repro.ir.parser import parse_program
 from repro.opt import (
     eliminate_common_subexpressions,
     eliminate_dead_code,
@@ -134,6 +136,41 @@ class TestGCSE:
         gold = run_ideal(program, args=(1, 6)).observable()
         eliminate_common_subexpressions(program.main)
         assert run_ideal(program, args=(1, 6)).observable() == gold
+
+    #: A cycle the entry never reaches.  Availability starts full
+    #: everywhere and this cycle never meets the entry's empty boundary,
+    #: so everything computed in it looks available inside it.
+    UNREACHABLE_CYCLE = """
+func @main(i32) -> i32 params(%n) {{
+entry:
+  ret %n
+dead:
+{body}
+  br %c, ->dead, ->out
+out:
+  ret %x
+}}
+"""
+
+    def _unreachable_cycle(self, body):
+        return parse_program(self.UNREACHABLE_CYCLE.format(body=body)).main
+
+    def test_unreachable_cycle_computing_twice_is_left_alone(self):
+        func = self._unreachable_cycle("""\
+  %x = add32 %n, %n
+  %y = add32 %n, %n
+  %c = cmp32.lt %x, %y""")
+        changed = eliminate_common_subexpressions(func)
+        verify_function(func)  # no read of an undefined temporary
+        assert not changed
+
+    def test_unreachable_cycle_computing_once_is_left_alone(self):
+        func = self._unreachable_cycle("""\
+  %x = add32 %n, %n
+  %c = cmp32.lt %x, %n""")
+        changed = eliminate_common_subexpressions(func)
+        verify_function(func)
+        assert not changed
 
 
 class TestLICM:

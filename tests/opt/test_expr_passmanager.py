@@ -21,6 +21,7 @@ from repro.opt import (
     Pass,
     PassManager,
     Timing,
+    all_computations,
     expr_key,
 )
 from repro.telemetry import Tracer
@@ -69,7 +70,7 @@ class TestExprKey:
         b.emit(add)
         b.emit(ext)
         b.ret(x)
-        universe = ExprUniverse(b.func)
+        universe = ExprUniverse(all_computations(b.func))
         add_bit = 1 << universe.bits[expr_key(add)]
         ext_bit = 1 << universe.bits[expr_key(ext)]
         killer = Instr(Opcode.MOV, x, (_r("z"),))
