@@ -16,6 +16,10 @@ class Prim(enum.Enum):
     BOOLEAN = "boolean"
     VOID = "void"
 
+    # Members are singletons that compare by identity, so they can hash
+    # by it too (``Enum.__hash__`` hashes the name in Python).
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class JType:
@@ -23,6 +27,15 @@ class JType:
 
     prim: Prim
     dims: int = 0
+
+    def __eq__(self, other: object) -> bool:
+        # The lowering compares types at every operand, mostly against the
+        # module constants below: test identity before the fields.
+        if self is other:
+            return True
+        if other.__class__ is not JType:
+            return NotImplemented
+        return self.prim is other.prim and self.dims == other.dims
 
     @property
     def is_array(self) -> bool:

@@ -15,6 +15,15 @@ from repro.serve.protocol import (
 
 SOURCE = "void main() { int x = 5; sink(x); }"
 
+#: Sources that must be a 400, not a crash: a parse error, a hex literal
+#: without digits, a superscript digit, and nesting too deep to parse.
+BAD_SOURCES = [
+    "void main() { nope",
+    "void main() { int x = 0x; }",
+    "void main() { int x = \u00b2; }",
+    "int main() { return " + "(" * 10_000 + "1" + ")" * 10_000 + "; }",
+]
+
 
 class TestParseRequest:
     def test_defaults(self):
@@ -82,11 +91,12 @@ class TestLoadProgram:
         assert program.functions
 
     def test_bad_source_is_protocol_error(self):
-        job = parse_request("run", {"source": "void main() { nope"})
-        with pytest.raises(ProtocolError) as err:
-            load_program(job)
-        assert err.value.status == 400
-        assert "does not compile" in str(err.value)
+        for source in BAD_SOURCES:
+            job = parse_request("run", {"source": source})
+            with pytest.raises(ProtocolError) as err:
+                load_program(job)
+            assert err.value.status == 400
+            assert "does not compile" in str(err.value)
 
     def test_unknown_workload_is_protocol_error(self):
         job = parse_request("run", {"workload": "nope"})

@@ -12,6 +12,8 @@ from repro.serve import ServerConfig, ServerThread
 from repro.serve.protocol import run_response, strip_volatile
 from repro.telemetry import parse_prometheus_text, sample_value
 
+from tests.serve.test_protocol import BAD_SOURCES
+
 FAST = "void main() { int x = 7; sink(x); }"
 
 #: slow enough (~0.15s) that a second request reliably arrives while
@@ -124,10 +126,11 @@ class TestRouting:
         assert asyncio.run(_go()) == 400
 
     def test_bad_source_is_400(self, server):
-        status, _, body = request(server, "POST", "/v1/run",
-                                  {"source": "void main() { nope"})
-        assert status == 400
-        assert "does not compile" in body["error"]
+        for source in BAD_SOURCES:
+            status, _, body = request(server, "POST", "/v1/run",
+                                      {"source": source})
+            assert status == 400, body
+            assert "does not compile" in body["error"]
 
 
 class TestBitIdentity:
