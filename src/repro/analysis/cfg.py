@@ -13,45 +13,56 @@ def depth_first_order(func: Function) -> list[Block]:
     block appears exactly once.
     """
     func.build_cfg()
-    seen: set[str] = set()
-    order: list[Block] = []
-
-    def visit(block: Block) -> None:
-        if block.label in seen:
-            return
-        seen.add(block.label)
-        order.append(block)
-        for succ in block.succs:
-            visit(succ)
-
-    visit(func.entry)
-    for block in func.blocks:
-        if block.label not in seen:
-            seen.add(block.label)
-            order.append(block)
+    entry = func.entry
+    seen = {entry.label}
+    order = [entry]
+    # One successor iterator per block on the current DFS path: the
+    # recursive walk's frames, so a deep CFG cannot overflow the stack.
+    stack = [iter(entry.succs)]
+    while stack:
+        for succ in stack[-1]:
+            if succ.label not in seen:
+                seen.add(succ.label)
+                order.append(succ)
+                stack.append(iter(succ.succs))
+                break
+        else:
+            stack.pop()
+    _append_unreached(func, seen, order)
     return order
 
 
 def postorder(func: Function) -> list[Block]:
     """Blocks in DFS postorder from the entry (unreachables appended)."""
     func.build_cfg()
-    seen: set[str] = set()
+    entry = func.entry
+    seen = {entry.label}
     order: list[Block] = []
-
-    def visit(block: Block) -> None:
-        if block.label in seen:
-            return
-        seen.add(block.label)
-        for succ in block.succs:
-            visit(succ)
-        order.append(block)
-
-    visit(func.entry)
-    for block in func.blocks:
-        if block.label not in seen:
-            seen.add(block.label)
-            order.append(block)
+    # The DFS path and, in step with it, each block's successor iterator.
+    path = [entry]
+    stack = [iter(entry.succs)]
+    while stack:
+        for succ in stack[-1]:
+            if succ.label not in seen:
+                seen.add(succ.label)
+                path.append(succ)
+                stack.append(iter(succ.succs))
+                break
+        else:
+            stack.pop()
+            order.append(path.pop())
+    _append_unreached(func, seen, order)
     return order
+
+
+def _append_unreached(func: Function, seen: set[str],
+                      order: list[Block]) -> None:
+    """Append the blocks not in ``seen``, in layout order."""
+    if len(order) < len(func.blocks):
+        for block in func.blocks:
+            if block.label not in seen:
+                seen.add(block.label)
+                order.append(block)
 
 
 def reachable_labels(func: Function) -> set[str]:

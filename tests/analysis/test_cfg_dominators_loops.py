@@ -8,6 +8,8 @@ from repro.analysis import (
     reverse_depth_first_order,
     reverse_postorder,
 )
+from repro.analysis.cfg import reachable_labels
+from repro.frontend import compile_source
 from repro.ir import Cond, Instr, Opcode, Program, ScalarType, build_function
 from tests.conftest import make_fig7_program
 
@@ -65,6 +67,19 @@ class TestOrders:
         positions = {b.label: i for i, b in enumerate(order)}
         assert positions[func.entry.label] < positions[left.label]
         assert positions[left.label] < positions[join.label]
+
+    def test_deep_cfg_does_not_recurse(self):
+        # 2,000 ifs in a row make a DFS path far deeper than Python's
+        # recursion limit; the walks keep their own stack.
+        body = "".join(f"if (x > {k}) {{ y += {k}; }}\n" for k in range(2000))
+        program = compile_source(
+            f"int main() {{ int x = 5; int y = 0;\n{body} return y; }}")
+        func = program.functions["main"]
+        preorder, post = depth_first_order(func), postorder(func)
+        reached = len(reachable_labels(func))
+        assert preorder[0] is func.entry and post[reached - 1] is func.entry
+        assert len(preorder) == len(post) == len(func.blocks)
+        assert {b.label for b in preorder} == {b.label for b in post}
 
 
 class TestDominators:

@@ -38,6 +38,25 @@ class TestScale:
         result = Interpreter(compiled.program).run()
         assert result.ret_value == 42 * 3
 
+    def test_two_thousand_sequential_ifs(self):
+        """A CFG path deeper than Python's recursion limit: the orders
+        the analyses walk must not recurse per block."""
+        arms = "\n".join(
+            f"    if (x > {k}) {{ t += {k}; }}" for k in range(2000)
+        )
+        source = f"""
+        int main() {{
+            int x = 42;
+            int t = 0;
+{arms}
+            return t;
+        }}
+        """
+        program = compile_source(source, "sequence")
+        compiled = compile_ir(program, VARIANTS["new algorithm (all)"])
+        result = Interpreter(compiled.program).run()
+        assert result.ret_value == sum(range(42))
+
     def test_long_straightline_chain(self):
         """A deep dependency chain stresses the recursive analyses
         (value ranges, canonicality) without hitting Python limits."""
