@@ -74,7 +74,11 @@ def _coerce_program(source: Program | str | Path,
         # A path if it plausibly is one and exists; source text otherwise.
         if "\n" not in source:
             candidate = Path(source)
-            if candidate.exists():
+            try:
+                exists = candidate.exists()
+            except OSError:  # e.g. a one-line source past the name limit
+                exists = False
+            if exists:
                 return compile_source(candidate.read_text(), candidate.stem)
             if source.endswith(".j32"):
                 raise FileNotFoundError(source)
@@ -127,6 +131,9 @@ def compile(
     options = options if options is not None else CompileOptions()
     program = _coerce_program(source)
     cfg = config if config is not None else options.config()
+    # A program lowered from text or a path here is held by nothing else,
+    # so compiling it in place needs no defensive clone.
+    clone = options.clone and isinstance(source, Program)
 
     if driver is not None:
         return driver.compile_one(CompileJob(
@@ -148,7 +155,7 @@ def compile(
                 trace_id=trace_id,
             ))
     telemetry = Telemetry(label=program.name) if options.telemetry else None
-    return compile_ir(program, cfg, profiles, clone=options.clone,
+    return compile_ir(program, cfg, profiles, clone=clone,
                       telemetry=telemetry)
 
 

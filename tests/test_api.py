@@ -56,6 +56,21 @@ class TestCompile:
         assert format_program(from_path.program) == \
             format_program(from_str.program)
 
+    def test_accepts_long_one_line_source(self):
+        # Longer than a file name may be: probing it as a path raises
+        # OSError (ENAMETOOLONG), which must mean "source text".
+        source = "void main() { int t = 0; " + "t += 1; " * 34 + "sink(t); }"
+        assert "\n" not in source and len(source) >= 300
+        result = repro.compile(source)
+        assert result.function_stats
+
+    def test_text_compiles_like_its_program(self):
+        # Text is lowered here and compiled without a clone; the output
+        # equals that of a cloned compile of the same program.
+        from_text = repro.compile(SOURCE).program
+        from_program = repro.compile(compile_source(SOURCE)).program
+        assert format_program(from_text) == format_program(from_program)
+
     def test_missing_j32_path_raises(self):
         with pytest.raises(FileNotFoundError):
             repro.compile("no/such/file.j32")
