@@ -18,7 +18,7 @@ from . import ast
 from ..ir.builder import FunctionBuilder
 from ..ir.function import Program
 from ..ir.instruction import FuncSig, Instr, VReg
-from ..ir.opcodes import Cond, Opcode
+from ..ir.opcodes import EXTEND_BITS, Cond, Opcode
 from ..ir.types import ScalarType
 from .ast import JType, Prim
 from .errors import SourceError, TypeError_
@@ -75,10 +75,7 @@ _MATH_UNOPS = {
 
 #: Opcodes whose destination must not be renamed by store coalescing:
 #: same-register extensions would lose their paired register.
-_NO_COALESCE = frozenset(
-    {Opcode.EXTEND8, Opcode.EXTEND16, Opcode.EXTEND32,
-     Opcode.ZEXT8, Opcode.ZEXT16, Opcode.ZEXT32, Opcode.JUST_EXTENDED}
-)
+_NO_COALESCE = frozenset({*EXTEND_BITS, Opcode.JUST_EXTENDED})
 
 
 def reg_type_of(jtype: JType) -> ScalarType:

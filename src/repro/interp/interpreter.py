@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from ..ir.function import Function, Program
 from ..ir.instruction import Instr
-from ..ir.opcodes import Cond, Opcode
+from ..ir.opcodes import COND_OPS, EXTEND_BITS, EXTEND_OPS, Cond, Opcode
 from ..ir.types import ScalarType, low32, sign_extend, wrap_u64
 from ..machine.model import IA64, LoadExt, MachineTraits
 from .memory import FuelExhausted, Heap, MemoryFault, Trap
@@ -61,9 +61,6 @@ def _ensure_recursion_headroom(max_call_depth: int) -> None:
     needed = max_call_depth * 6 + 256
     if sys.getrecursionlimit() < needed:
         sys.setrecursionlimit(needed)
-
-_EXTEND_WIDTH = {Opcode.EXTEND8: 8, Opcode.EXTEND16: 16, Opcode.EXTEND32: 32}
-_ZEXT_WIDTH = {Opcode.ZEXT8: 8, Opcode.ZEXT16: 16, Opcode.ZEXT32: 32}
 
 
 @dataclass
@@ -283,30 +280,17 @@ class Interpreter:
         s = instr.srcs
 
         if opcode is Opcode.CONST:
-            if instr.elem is ScalarType.F64:
-                value: int | float = float(instr.imm)
-            elif instr.elem is ScalarType.I64 or instr.elem is ScalarType.REF:
-                value = wrap_u64(int(instr.imm))
-            else:
-                value = wrap_u64(sign_extend(int(instr.imm), 32))
-            regs[instr.dest.name] = value
+            regs[instr.dest.name] = const_image(instr.imm, instr.elem)
             return
 
         if opcode is Opcode.MOV:
             regs[instr.dest.name] = regs[s[0].name]
             return
 
-        if opcode in _EXTEND_WIDTH:
-            width = _EXTEND_WIDTH[opcode]
-            self.extend_counts[width] += 1
-            regs[instr.dest.name] = wrap_u64(
-                sign_extend(int(regs[s[0].name]), width)
-            )
-            return
-
-        if opcode in _ZEXT_WIDTH:
-            width = _ZEXT_WIDTH[opcode]
-            regs[instr.dest.name] = int(regs[s[0].name]) & ((1 << width) - 1)
+        if opcode in EXTEND_BITS:
+            if opcode in EXTEND_OPS:
+                self.extend_counts[EXTEND_BITS[opcode]] += 1
+            regs[instr.dest.name] = extend(opcode, int(regs[s[0].name]))
             return
 
         if opcode is Opcode.JUST_EXTENDED:
@@ -327,68 +311,24 @@ class Interpreter:
                 )
             return
 
-        handler = _INT32_BINOPS.get(opcode)
+        handler = _INT32_BINOPS.get(opcode) or _INT32_UNOPS.get(opcode)
         if handler is not None:
-            a = int(regs[s[0].name])
-            b = int(regs[s[1].name])
-            result = handler(a, b)
+            result = handler(*[int(regs[src.name]) for src in s])
             if self.ideal:
                 result = wrap_u64(sign_extend(result, 32))
             regs[instr.dest.name] = result
             return
 
-        handler = _INT64_BINOPS.get(opcode)
+        handler = _INT64_BINOPS.get(opcode) or _INT64_UNOPS.get(opcode)
         if handler is not None:
-            a = int(regs[s[0].name])
-            b = int(regs[s[1].name])
-            regs[instr.dest.name] = handler(a, b)
+            regs[instr.dest.name] = handler(*[int(regs[src.name])
+                                              for src in s])
             return
 
-        if opcode is Opcode.NEG32:
-            result = wrap_u64(-int(regs[s[0].name]))
-            if self.ideal:
-                result = wrap_u64(sign_extend(result, 32))
-            regs[instr.dest.name] = result
-            return
-        if opcode is Opcode.NOT32:
-            result = wrap_u64(~int(regs[s[0].name]))
-            if self.ideal:
-                result = wrap_u64(sign_extend(result, 32))
-            regs[instr.dest.name] = result
-            return
-        if opcode is Opcode.NEG64:
-            regs[instr.dest.name] = wrap_u64(-int(regs[s[0].name]))
-            return
-        if opcode is Opcode.NOT64:
-            regs[instr.dest.name] = wrap_u64(~int(regs[s[0].name]))
-            return
-
-        if opcode is Opcode.CMP32:
-            a = int(regs[s[0].name])
-            b = int(regs[s[1].name])
-            if instr.cond.is_unsigned:
-                regs[instr.dest.name] = int(
-                    _compare(low32(a), low32(b), instr.cond)
-                )
-            else:
-                regs[instr.dest.name] = int(
-                    _compare(sign_extend(a, 32), sign_extend(b, 32), instr.cond)
-                )
-            return
-        if opcode is Opcode.CMP64:
-            a = int(regs[s[0].name])
-            b = int(regs[s[1].name])
-            if instr.cond.is_unsigned:
-                regs[instr.dest.name] = int(_compare(a, b, instr.cond))
-            else:
-                regs[instr.dest.name] = int(
-                    _compare(sign_extend(a, 64), sign_extend(b, 64), instr.cond)
-                )
-            return
-        if opcode is Opcode.CMPF:
-            a = float(regs[s[0].name])
-            b = float(regs[s[1].name])
-            regs[instr.dest.name] = int(_compare(a, b, instr.cond))
+        if opcode is Opcode.CMP32 or opcode is Opcode.CMP64 \
+                or opcode is Opcode.CMPF:
+            regs[instr.dest.name] = compare(opcode, instr.cond,
+                                            regs[s[0].name], regs[s[1].name])
             return
 
         handler = _FLOAT_OPS.get(opcode)
@@ -400,10 +340,7 @@ class Interpreter:
                 raise Trap(f"floating point error in {instr}: {exc}") from exc
             return
 
-        if opcode is Opcode.I2D:
-            regs[instr.dest.name] = float(sign_extend(int(regs[s[0].name]), 64))
-            return
-        if opcode is Opcode.L2D:
+        if opcode is Opcode.I2D or opcode is Opcode.L2D:
             regs[instr.dest.name] = float(sign_extend(int(regs[s[0].name]), 64))
             return
         if opcode is Opcode.D2I:
@@ -450,7 +387,8 @@ class Interpreter:
             return
 
         if opcode is Opcode.SINK:
-            self._sink(regs[s[0].name], s[0].type)
+            self.checksum = sink_checksum(self.checksum, regs[s[0].name],
+                                          s[0].type)
             return
         if opcode is Opcode.NOP:
             return
@@ -474,13 +412,6 @@ class Interpreter:
             return wrap_u64(sign_extend(raw, elem.bits))
         return raw & ((1 << elem.bits) - 1)
 
-    def _sink(self, value: int | float, type_: ScalarType) -> None:
-        if type_ is ScalarType.F64:
-            bits = struct.unpack("<Q", struct.pack("<d", float(value)))[0]
-        else:
-            bits = wrap_u64(int(value))
-        self.checksum = ((self.checksum ^ bits) * _FNV_PRIME) & U64
-
 
 def _site_histogram(site_counts: dict[int, int]):
     """Distribution of per-site execution counts (how hot is hot)."""
@@ -492,18 +423,60 @@ def _site_histogram(site_counts: dict[int, int]):
     return histogram
 
 
-def _compare(a, b, cond: Cond) -> bool:
-    if cond is Cond.EQ:
-        return a == b
-    if cond is Cond.NE:
-        return a != b
-    if cond in (Cond.LT, Cond.ULT):
-        return a < b
-    if cond in (Cond.LE, Cond.ULE):
-        return a <= b
-    if cond in (Cond.GT, Cond.UGT):
-        return a > b
-    return a >= b
+# -- what each opcode computes --------------------------------------------
+#
+# The functions and tables below define each opcode's result on register
+# images (a Python int in [0, 2**64) or a float).  The closure engine
+# (:mod:`repro.interp.translate`) and constant folding
+# (:mod:`repro.opt.constant_fold`) read them too, so all three agree.
+
+
+def const_image(imm: int | float, elem: ScalarType | None) -> int | float:
+    """The register image a ``CONST`` of ``imm`` with element ``elem``
+    sets: a narrow integer is held sign-extended from 32 bits."""
+    if elem is ScalarType.F64:
+        return float(imm)
+    if elem is ScalarType.I64 or elem is ScalarType.REF:
+        return wrap_u64(int(imm))
+    return wrap_u64(sign_extend(int(imm), 32))
+
+
+def extend(opcode: Opcode, value: int) -> int:
+    """An ``EXTENDn`` (sign) or ``ZEXTn`` (zero) of a register image."""
+    bits = EXTEND_BITS[opcode]
+    if opcode in EXTEND_OPS:
+        return wrap_u64(sign_extend(value, bits))
+    return value & ((1 << bits) - 1)
+
+
+def compare(opcode: Opcode, cond: Cond, a: int | float,
+            b: int | float) -> int:
+    """``CMP32``, ``CMP64`` or ``CMPF`` of two register images: 1 when
+    ``cond`` holds, else 0.  ``CMP32`` reads only the low words."""
+    if opcode is Opcode.CMPF:
+        a, b = float(a), float(b)
+    elif opcode is Opcode.CMP32:
+        if cond.is_unsigned:
+            a, b = low32(int(a)), low32(int(b))
+        else:
+            a, b = sign_extend(int(a), 32), sign_extend(int(b), 32)
+    elif cond.is_unsigned:
+        a, b = int(a), int(b)
+    else:
+        a, b = sign_extend(int(a), 64), sign_extend(int(b), 64)
+    return int(COND_OPS[cond](a, b))
+
+
+def sink_checksum(checksum: int, value: int | float,
+                  type_: ScalarType) -> int:
+    """``checksum`` after a ``SINK`` of ``value`` from a register of
+    ``type_``: FNV-style, ``(checksum ^ bits) * prime`` over the value's
+    64 bits (a float's IEEE-754 bits)."""
+    if type_ is ScalarType.F64:
+        bits = struct.unpack("<Q", struct.pack("<d", float(value)))[0]
+    else:
+        bits = wrap_u64(int(value))
+    return ((checksum ^ bits) * _FNV_PRIME) & U64
 
 
 def _java_idiv(a: int, b: int) -> int:
@@ -568,6 +541,11 @@ _INT32_BINOPS = {
     Opcode.USHR32: lambda a, b: low32(a) >> (b & 31),
 }
 
+_INT32_UNOPS = {
+    Opcode.NEG32: lambda a: wrap_u64(-a),
+    Opcode.NOT32: lambda a: wrap_u64(~a),
+}
+
 _INT64_BINOPS = {
     Opcode.ADD64: lambda a, b: wrap_u64(a + b),
     Opcode.SUB64: lambda a, b: wrap_u64(a - b),
@@ -580,6 +558,11 @@ _INT64_BINOPS = {
     Opcode.SHL64: lambda a, b: wrap_u64(a << (b & 63)),
     Opcode.SHR64: lambda a, b: wrap_u64(sign_extend(a, 64) >> (b & 63)),
     Opcode.USHR64: lambda a, b: a >> (b & 63),
+}
+
+_INT64_UNOPS = {
+    Opcode.NEG64: lambda a: wrap_u64(-a),
+    Opcode.NOT64: lambda a: wrap_u64(~a),
 }
 
 _FLOAT_OPS = {

@@ -44,14 +44,12 @@ the program.
 from __future__ import annotations
 
 import hashlib
-import operator
-import struct
 import threading
 from collections import Counter, OrderedDict
 
 from ..ir.function import Function
 from ..ir.instruction import Instr
-from ..ir.opcodes import Cond, Opcode
+from ..ir.opcodes import COND_OPS, EXTEND_BITS, EXTEND_OPS, Opcode
 from ..ir.printer import format_function
 from ..ir.types import ScalarType, sign_extend, wrap_u64
 from ..machine.model import LoadExt, MachineTraits
@@ -61,6 +59,8 @@ from .interpreter import (
     _INT64_BINOPS,
     _java_d2i,
     _java_d2l,
+    const_image,
+    sink_checksum,
 )
 from .memory import MemoryFault, Trap
 
@@ -70,28 +70,9 @@ _HIGH32 = 0x8000_0000
 _HIGH64 = 0x8000_0000_0000_0000
 #: OR-mask that completes a 32->64 sign extension of a masked low word.
 _FILL32 = 0xFFFF_FFFF_0000_0000
-_FNV_PRIME = 1099511628211
-
-_TERMINATORS = frozenset({Opcode.BR, Opcode.JMP, Opcode.RET})
-
-_EXTEND_WIDTH = {Opcode.EXTEND8: 8, Opcode.EXTEND16: 16, Opcode.EXTEND32: 32}
-_ZEXT_WIDTH = {Opcode.ZEXT8: 8, Opcode.ZEXT16: 16, Opcode.ZEXT32: 32}
 
 #: Sentinel return value of a void ``ret`` terminator closure.
 _RET_VOID = (None,)
-
-_COND_OPS = {
-    Cond.EQ: operator.eq,
-    Cond.NE: operator.ne,
-    Cond.LT: operator.lt,
-    Cond.ULT: operator.lt,
-    Cond.LE: operator.le,
-    Cond.ULE: operator.le,
-    Cond.GT: operator.gt,
-    Cond.UGT: operator.gt,
-    Cond.GE: operator.ge,
-    Cond.UGE: operator.ge,
-}
 
 
 class Untranslatable(Exception):
@@ -156,20 +137,6 @@ class TranslatedFunction:
         self.blocks = blocks
 
 
-def _cut_block(instrs: list[Instr]) -> list[Instr]:
-    """Instructions up to and including the first terminator.
-
-    The reference leaves a block at its first BR/JMP/RET, so any tail
-    is unreachable and must not contribute to the static counts.
-    """
-    cut = []
-    for instr in instrs:
-        cut.append(instr)
-        if instr.opcode in _TERMINATORS:
-            break
-    return cut
-
-
 def uid_layout(func: Function) -> dict[str, tuple[int, ...]]:
     """Per-block executed-instruction uids, in step order.
 
@@ -179,7 +146,7 @@ def uid_layout(func: Function) -> dict[str, tuple[int, ...]]:
     translation for this particular ``Function`` object.
     """
     return {
-        block.label: tuple(i.uid for i in _cut_block(block.instrs))
+        block.label: tuple(i.uid for i in block.executed())
         for block in func.blocks
     }
 
@@ -338,7 +305,7 @@ def _mk_not64(dst, src):
 
 
 def _mk_cmp32(dst, a, b, cond):
-    cmp = _COND_OPS[cond]
+    cmp = COND_OPS[cond]
     if cond.is_unsigned:
         def op(regs, st):
             regs[dst] = int(cmp(int(regs[a]) & _U32, int(regs[b]) & _U32))
@@ -356,7 +323,7 @@ def _mk_cmp32(dst, a, b, cond):
 
 
 def _mk_cmp64(dst, a, b, cond):
-    cmp = _COND_OPS[cond]
+    cmp = COND_OPS[cond]
     if cond.is_unsigned:
         def op(regs, st):
             regs[dst] = int(cmp(int(regs[a]), int(regs[b])))
@@ -374,7 +341,7 @@ def _mk_cmp64(dst, a, b, cond):
 
 
 def _mk_cmpf(dst, a, b, cond):
-    cmp = _COND_OPS[cond]
+    cmp = COND_OPS[cond]
 
     def op(regs, st):
         regs[dst] = int(cmp(float(regs[a]), float(regs[b])))
@@ -529,19 +496,8 @@ def _mk_gstore(src, gname, elem):
 
 
 def _mk_sink(src, type_):
-    if type_ is ScalarType.F64:
-        pack = struct.pack
-        unpack = struct.unpack
-
-        def op(regs, st):
-            bits = unpack("<Q", pack("<d", float(regs[src])))[0]
-            st.checksum = ((st.checksum ^ bits) * _FNV_PRIME) & _U64
-        return op
-
     def op(regs, st):
-        st.checksum = (
-            (st.checksum ^ (int(regs[src]) & _U64)) * _FNV_PRIME
-        ) & _U64
+        st.checksum = sink_checksum(st.checksum, regs[src], type_)
     return op
 
 
@@ -619,9 +575,8 @@ class _Translator:
         )
 
     def _translate_block(self, block, labels) -> TranslatedBlock:
-        cut = _cut_block(block.instrs)
-        term_instr = cut.pop() if cut and cut[-1].opcode in _TERMINATORS \
-            else None
+        cut = block.executed()
+        term_instr = cut.pop() if cut and cut[-1].is_terminator else None
 
         segments = []
         ops: list = []
@@ -652,8 +607,7 @@ class _Translator:
         counted = cut + ([term_instr] if term_instr is not None else [])
         op_counts = tuple(Counter(i.opcode for i in counted).items())
         ext_counts = tuple(Counter(
-            _EXTEND_WIDTH[i.opcode] for i in counted
-            if i.opcode in _EXTEND_WIDTH
+            EXTEND_BITS[i.opcode] for i in counted if i.opcode in EXTEND_OPS
         ).items())
         return TranslatedBlock(
             label=block.label,
@@ -699,26 +653,18 @@ class _Translator:
         dst = self.slot(instr.dest.name) if instr.dest is not None else None
 
         if opcode is Opcode.CONST:
-            if instr.elem is ScalarType.F64:
-                value: int | float = float(instr.imm)
-            elif instr.elem is ScalarType.I64 or instr.elem is ScalarType.REF:
-                value = wrap_u64(int(instr.imm))
-            else:
-                value = wrap_u64(sign_extend(int(instr.imm), 32))
-            return _mk_const(dst, value)
+            return _mk_const(dst, const_image(instr.imm, instr.elem))
 
         if opcode is Opcode.MOV:
             return _mk_mov(dst, self.slot(s[0].name))
 
-        if opcode in _EXTEND_WIDTH:
-            width = _EXTEND_WIDTH[opcode]
-            mask = (1 << width) - 1
-            return _mk_extend(dst, self.slot(s[0].name), mask,
-                              1 << (width - 1), _U64 ^ mask)
-
-        if opcode in _ZEXT_WIDTH:
-            return _mk_zext(dst, self.slot(s[0].name),
-                            (1 << _ZEXT_WIDTH[opcode]) - 1)
+        bits = EXTEND_BITS.get(opcode)
+        if bits is not None:
+            mask = (1 << bits) - 1
+            if opcode in EXTEND_OPS:
+                return _mk_extend(dst, self.slot(s[0].name), mask,
+                                  1 << (bits - 1), _U64 ^ mask)
+            return _mk_zext(dst, self.slot(s[0].name), mask)
 
         if opcode is Opcode.JUST_EXTENDED:
             return _mk_just_extended(dst, self.slot(s[0].name))

@@ -39,6 +39,14 @@ class Block:
             return self.instrs[:-1]
         return list(self.instrs)
 
+    def executed(self) -> list[Instr]:
+        """The instructions an entry to the block runs: those up to and
+        including the first terminator (a tail past it is unreachable)."""
+        for index, instr in enumerate(self.instrs):
+            if instr.is_terminator:
+                return self.instrs[:index + 1]
+        return list(self.instrs)
+
     def append(self, instr: Instr) -> Instr:
         self.instrs.append(instr)
         return instr

@@ -10,66 +10,8 @@ from __future__ import annotations
 from .block import Block
 from .function import Function, Program
 from .instruction import FuncSig, Instr, VReg
-from .opcodes import Cond, Opcode, OP_INFO
+from .opcodes import RESULT_TYPE, Cond, Opcode
 from .types import ScalarType
-
-_BIN_RESULT = {
-    Opcode.ADD32: ScalarType.I32,
-    Opcode.SUB32: ScalarType.I32,
-    Opcode.MUL32: ScalarType.I32,
-    Opcode.DIV32: ScalarType.I32,
-    Opcode.REM32: ScalarType.I32,
-    Opcode.AND32: ScalarType.I32,
-    Opcode.OR32: ScalarType.I32,
-    Opcode.XOR32: ScalarType.I32,
-    Opcode.SHL32: ScalarType.I32,
-    Opcode.SHR32: ScalarType.I32,
-    Opcode.USHR32: ScalarType.I32,
-    Opcode.ADD64: ScalarType.I64,
-    Opcode.SUB64: ScalarType.I64,
-    Opcode.MUL64: ScalarType.I64,
-    Opcode.DIV64: ScalarType.I64,
-    Opcode.REM64: ScalarType.I64,
-    Opcode.AND64: ScalarType.I64,
-    Opcode.OR64: ScalarType.I64,
-    Opcode.XOR64: ScalarType.I64,
-    Opcode.SHL64: ScalarType.I64,
-    Opcode.SHR64: ScalarType.I64,
-    Opcode.USHR64: ScalarType.I64,
-    Opcode.FADD: ScalarType.F64,
-    Opcode.FSUB: ScalarType.F64,
-    Opcode.FMUL: ScalarType.F64,
-    Opcode.FDIV: ScalarType.F64,
-    Opcode.FREM: ScalarType.F64,
-    Opcode.FPOW: ScalarType.F64,
-}
-
-_UN_RESULT = {
-    Opcode.NEG32: ScalarType.I32,
-    Opcode.NOT32: ScalarType.I32,
-    Opcode.NEG64: ScalarType.I64,
-    Opcode.NOT64: ScalarType.I64,
-    Opcode.FNEG: ScalarType.F64,
-    Opcode.FSQRT: ScalarType.F64,
-    Opcode.FSIN: ScalarType.F64,
-    Opcode.FCOS: ScalarType.F64,
-    Opcode.FEXP: ScalarType.F64,
-    Opcode.FLOG: ScalarType.F64,
-    Opcode.FABS: ScalarType.F64,
-    Opcode.FFLOOR: ScalarType.F64,
-    Opcode.I2D: ScalarType.F64,
-    Opcode.L2D: ScalarType.F64,
-    Opcode.D2I: ScalarType.I32,
-    Opcode.D2L: ScalarType.I64,
-    Opcode.EXTEND8: ScalarType.I32,
-    Opcode.EXTEND16: ScalarType.I32,
-    Opcode.EXTEND32: ScalarType.I32,
-    Opcode.ZEXT8: ScalarType.I32,
-    Opcode.ZEXT16: ScalarType.I32,
-    Opcode.ZEXT32: ScalarType.I64,
-    Opcode.JUST_EXTENDED: ScalarType.I32,
-    Opcode.TRUNC32: ScalarType.I32,
-}
 
 
 class FunctionBuilder:
@@ -106,7 +48,7 @@ class FunctionBuilder:
 
     def const(self, value: int | float, type_: ScalarType = ScalarType.I32,
               dest: VReg | None = None) -> VReg:
-        dest = dest or self.func.new_reg(type_, "c")
+        dest = dest or self.func.new_reg(type_.register_type, "c")
         self.emit(Instr(Opcode.CONST, dest, imm=value, elem=type_))
         return dest
 
@@ -116,19 +58,19 @@ class FunctionBuilder:
         return dest
 
     def unop(self, opcode: Opcode, src: VReg, dest: VReg | None = None) -> VReg:
-        dest = dest or self.func.new_reg(_UN_RESULT[opcode])
+        dest = dest or self.func.new_reg(RESULT_TYPE[opcode])
         self.emit(Instr(opcode, dest, (src,)))
         return dest
 
     def binop(self, opcode: Opcode, lhs: VReg, rhs: VReg,
               dest: VReg | None = None) -> VReg:
-        dest = dest or self.func.new_reg(_BIN_RESULT[opcode])
+        dest = dest or self.func.new_reg(RESULT_TYPE[opcode])
         self.emit(Instr(opcode, dest, (lhs, rhs)))
         return dest
 
     def cmp(self, opcode: Opcode, cond: Cond, lhs: VReg, rhs: VReg,
             dest: VReg | None = None) -> VReg:
-        dest = dest or self.func.new_reg(ScalarType.I32, "p")
+        dest = dest or self.func.new_reg(RESULT_TYPE[opcode], "p")
         self.emit(Instr(opcode, dest, (lhs, rhs), cond=cond))
         return dest
 
@@ -139,16 +81,13 @@ class FunctionBuilder:
 
     def newarray(self, elem: ScalarType, length: VReg,
                  dest: VReg | None = None) -> VReg:
-        dest = dest or self.func.new_reg(ScalarType.REF, "a")
+        dest = dest or self.func.new_reg(RESULT_TYPE[Opcode.NEWARRAY], "a")
         self.emit(Instr(Opcode.NEWARRAY, dest, (length,), elem=elem))
         return dest
 
     def aload(self, arr: VReg, index: VReg, elem: ScalarType,
               dest: VReg | None = None) -> VReg:
-        result_type = ScalarType.I64 if elem is ScalarType.I64 else (
-            ScalarType.F64 if elem is ScalarType.F64 else (
-                ScalarType.REF if elem is ScalarType.REF else ScalarType.I32))
-        dest = dest or self.func.new_reg(result_type)
+        dest = dest or self.func.new_reg(elem.register_type)
         self.emit(Instr(Opcode.ALOAD, dest, (arr, index), elem=elem))
         return dest
 
@@ -156,12 +95,12 @@ class FunctionBuilder:
         self.emit(Instr(Opcode.ASTORE, None, (arr, index, value), elem=elem))
 
     def arraylen(self, arr: VReg, dest: VReg | None = None) -> VReg:
-        dest = dest or self.func.new_reg(ScalarType.I32, "len")
+        dest = dest or self.func.new_reg(RESULT_TYPE[Opcode.ARRAYLEN], "len")
         self.emit(Instr(Opcode.ARRAYLEN, dest, (arr,)))
         return dest
 
     def gload(self, name: str, type_: ScalarType, dest: VReg | None = None) -> VReg:
-        dest = dest or self.func.new_reg(type_, "g")
+        dest = dest or self.func.new_reg(type_.register_type, "g")
         self.emit(Instr(Opcode.GLOAD, dest, (), gname=name, elem=type_))
         return dest
 

@@ -6,7 +6,8 @@ registers, explicit basic blocks, explicit sign-extension instructions
 (``EXTEND32`` is the paper's ``extend()``, ``JUST_EXTENDED`` its dummy
 marker), and array accesses with Java bounds-check semantics.
 
-Structural facts (operand counts, roles, terminator-ness) live here; the
+Structural facts (operand counts, roles, terminator-ness, result types,
+condition operators, extension widths) live here, one table each; the
 sign-extension-specific semantic classification used by ``AnalyzeUSE`` /
 ``AnalyzeDEF`` lives in :mod:`repro.ir.semantics`.
 """
@@ -14,7 +15,10 @@ sign-extension-specific semantic classification used by ``AnalyzeUSE`` /
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
+
+from .types import ScalarType
 
 
 class Opcode(enum.Enum):
@@ -315,10 +319,52 @@ _SWAPPED = {
     Cond.UGE: Cond.ULE,
 }
 
+#: The comparison each condition makes.  The operands are already read
+#: as signed or unsigned (``Cond.is_unsigned``) at the compare's width.
+COND_OPS = {
+    Cond.EQ: operator.eq,
+    Cond.NE: operator.ne,
+    Cond.LT: operator.lt,
+    Cond.ULT: operator.lt,
+    Cond.LE: operator.le,
+    Cond.ULE: operator.le,
+    Cond.GT: operator.gt,
+    Cond.UGT: operator.gt,
+    Cond.GE: operator.ge,
+    Cond.UGE: operator.ge,
+}
+
+#: The register type of the destination, for every opcode whose result
+#: type is fixed.  ``CONST`` and the loads fill their element's
+#: ``ScalarType.register_type``, a ``MOV`` inherits its source's type,
+#: and a ``CALL`` its callee's return type.
+RESULT_TYPE: dict[Opcode, ScalarType] = {
+    **dict.fromkeys((
+        Opcode.ADD32, Opcode.SUB32, Opcode.MUL32, Opcode.DIV32, Opcode.REM32,
+        Opcode.NEG32, Opcode.AND32, Opcode.OR32, Opcode.XOR32, Opcode.NOT32,
+        Opcode.SHL32, Opcode.SHR32, Opcode.USHR32,
+        Opcode.EXTEND8, Opcode.EXTEND16, Opcode.EXTEND32, Opcode.ZEXT8,
+        Opcode.ZEXT16, Opcode.JUST_EXTENDED, Opcode.TRUNC32,
+        Opcode.CMP32, Opcode.CMP64, Opcode.CMPF, Opcode.D2I, Opcode.ARRAYLEN,
+    ), ScalarType.I32),
+    **dict.fromkeys((
+        Opcode.ADD64, Opcode.SUB64, Opcode.MUL64, Opcode.DIV64, Opcode.REM64,
+        Opcode.NEG64, Opcode.AND64, Opcode.OR64, Opcode.XOR64, Opcode.NOT64,
+        Opcode.SHL64, Opcode.SHR64, Opcode.USHR64, Opcode.ZEXT32, Opcode.D2L,
+    ), ScalarType.I64),
+    **dict.fromkeys((
+        Opcode.FADD, Opcode.FSUB, Opcode.FMUL, Opcode.FDIV, Opcode.FREM,
+        Opcode.FNEG, Opcode.FSQRT, Opcode.FSIN, Opcode.FCOS, Opcode.FEXP,
+        Opcode.FLOG, Opcode.FABS, Opcode.FFLOOR, Opcode.FPOW,
+        Opcode.I2D, Opcode.L2D,
+    ), ScalarType.F64),
+    Opcode.NEWARRAY: ScalarType.REF,
+}
+
 #: Opcodes that are explicit sign extensions (candidates for elimination).
 EXTEND_OPS = frozenset({Opcode.EXTEND8, Opcode.EXTEND16, Opcode.EXTEND32})
 
-#: Bit width sign-extended *from*, per extension opcode.
+#: Bit width extended *from*, per sign (``EXTEND_OPS``) or zero extension.
 EXTEND_BITS = {
     Opcode.EXTEND8: 8,
     Opcode.EXTEND16: 16,

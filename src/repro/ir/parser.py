@@ -27,10 +27,9 @@ from __future__ import annotations
 import re
 
 from .block import Block
-from .builder import _BIN_RESULT, _UN_RESULT
 from .function import Function, Program
 from .instruction import FuncSig, Instr, VReg
-from .opcodes import Cond, Opcode
+from .opcodes import RESULT_TYPE, Cond, Opcode
 from .types import ScalarType
 
 _SCALARS = {t.value: t for t in ScalarType}
@@ -155,28 +154,11 @@ def _reg_name(token: str) -> str:
 
 
 def _dest_type(opcode: Opcode, elem: ScalarType | None) -> ScalarType:
-    if opcode in _BIN_RESULT:
-        return _BIN_RESULT[opcode]
-    if opcode in _UN_RESULT:
-        return _UN_RESULT[opcode]
-    if opcode in (Opcode.CMP32, Opcode.CMP64, Opcode.CMPF):
-        return ScalarType.I32
-    if opcode is Opcode.CONST:
-        if elem in (ScalarType.F64, ScalarType.I64, ScalarType.REF):
-            return elem
-        return ScalarType.I32
-    if opcode is Opcode.NEWARRAY:
-        return ScalarType.REF
-    if opcode is Opcode.ARRAYLEN:
-        return ScalarType.I32
-    if opcode in (Opcode.ALOAD, Opcode.GLOAD):
-        if elem is ScalarType.F64:
-            return ScalarType.F64
-        if elem is ScalarType.I64:
-            return ScalarType.I64
-        if elem is ScalarType.REF:
-            return ScalarType.REF
-        return ScalarType.I32
+    result = RESULT_TYPE.get(opcode)
+    if result is not None:
+        return result
+    if elem is not None:  # CONST, ALOAD, GLOAD
+        return elem.register_type
     return ScalarType.I32  # MOV/CALL destinations refined by context
 
 

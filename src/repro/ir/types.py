@@ -38,6 +38,12 @@ class ScalarType(enum.Enum):
         """Whether the semantic value is interpreted as signed."""
         return self is not ScalarType.U16
 
+    @property
+    def register_type(self) -> "ScalarType":
+        """The type of the register a load or ``CONST`` of this type
+        fills: a narrow integer is promoted to ``i32``, as in Java."""
+        return ScalarType.I32 if self in _NARROW_INT_TYPES else self
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ScalarType.{self.name}"
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from ..ir.function import Function
 from ..ir.instruction import Instr
-from ..ir.opcodes import Opcode
+from ..ir.opcodes import EXTEND_BITS, EXTEND_OPS, Opcode
 from ..ir.types import ScalarType
 from .model import IA64, LoadExt, MachineTraits
 
@@ -79,19 +79,19 @@ def _lower_instr(instr: Instr, code: MachineCode, traits: MachineTraits,
         code.emit(mnemonic, f"{dest} = {instr.imm!r}")
     elif opcode is Opcode.MOV:
         code.emit("mov", f"{dest} = {srcs[0]}")
-    elif opcode in (Opcode.EXTEND8, Opcode.EXTEND16, Opcode.EXTEND32):
-        width = {Opcode.EXTEND8: 1, Opcode.EXTEND16: 2, Opcode.EXTEND32: 4}
+    elif opcode in EXTEND_OPS:
+        bits = EXTEND_BITS[opcode]
         if arch == "ia64":
-            code.emit(f"sxt{width[opcode]}", f"{dest} = {srcs[0]}")
+            code.emit(f"sxt{bits // 8}", f"{dest} = {srcs[0]}")
         else:
-            suffix = {1: "b", 2: "h", 4: "w"}[width[opcode]]
+            suffix = {8: "b", 16: "h", 32: "w"}[bits]
             code.emit(f"exts{suffix}", f"{dest} = {srcs[0]}")
-    elif opcode in (Opcode.ZEXT8, Opcode.ZEXT16, Opcode.ZEXT32):
-        width = {Opcode.ZEXT8: 1, Opcode.ZEXT16: 2, Opcode.ZEXT32: 4}[opcode]
+    elif opcode in EXTEND_BITS:
+        bits = EXTEND_BITS[opcode]
         if arch == "ia64":
-            code.emit(f"zxt{width}", f"{dest} = {srcs[0]}")
+            code.emit(f"zxt{bits // 8}", f"{dest} = {srcs[0]}")
         else:
-            code.emit("rldicl", f"{dest} = {srcs[0]}, 0, {64 - width * 8}")
+            code.emit("rldicl", f"{dest} = {srcs[0]}, 0, {64 - bits}")
     elif opcode is Opcode.JUST_EXTENDED:
         pass  # dummy marker: no machine instruction
     elif opcode is Opcode.ALOAD:

@@ -33,8 +33,8 @@ from ..analysis.dataflow import DataflowProblem, Direction, Meet, bit_indices
 from ..ir.block import Block
 from ..ir.function import Function
 from ..ir.instruction import Instr
-from ..ir.opcodes import Opcode
-from .expr import ExprUniverse, all_computations, expr_key, result_type
+from ..ir.opcodes import RESULT_TYPE, Opcode
+from .expr import ExprUniverse, all_computations, expr_key
 from .dce import eliminate_dead_code
 from .copy_prop import propagate_copies
 from .gcse import eliminate_common_subexpressions
@@ -93,7 +93,7 @@ def busy_code_motion(func: Function) -> bool:
 
     def compute_into_temp(index: int) -> Instr:
         computed = universe.exemplar[keys[index]].copy()
-        computed.dest = func.new_reg(result_type(keys[index]), "pre")
+        computed.dest = func.new_reg(RESULT_TYPE[computed.opcode], "pre")
         return computed
 
     for position, index in enumerate(bit_indices(entry_bits)):

@@ -21,11 +21,9 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple
 
-from ..ir.builder import _BIN_RESULT, _UN_RESULT
 from ..ir.function import Function
 from ..ir.instruction import Instr
 from ..ir.opcodes import Opcode
-from ..ir.types import ScalarType
 
 #: Pure, rematerializable opcodes eligible for CSE and code motion.
 PURE_OPS = frozenset(
@@ -137,14 +135,3 @@ class ExprUniverse:
         if instr.dest.name in key.srcs and not instr.is_self_extend:
             return 0
         return 1 << self.bits[key]
-
-
-def result_type(key: ExprKey) -> ScalarType:
-    """The type of a temporary that holds the value of ``key``."""
-    if key.opcode in _BIN_RESULT:
-        return _BIN_RESULT[key.opcode]
-    if key.opcode in _UN_RESULT:
-        return _UN_RESULT[key.opcode]
-    if key.opcode in (Opcode.CMP32, Opcode.CMP64, Opcode.CMPF):
-        return ScalarType.I32
-    return ScalarType.I64

@@ -22,8 +22,8 @@ from ..analysis.dataflow import DataflowProblem, Direction, Meet
 from ..analysis.ud_du import ChainsHolder
 from ..ir.function import Function
 from ..ir.instruction import Instr
-from ..ir.opcodes import Opcode
-from .expr import ExprKey, ExprUniverse, expr_key, result_type
+from ..ir.opcodes import RESULT_TYPE, Opcode
+from .expr import ExprKey, ExprUniverse, expr_key
 
 
 def eliminate_common_subexpressions(
@@ -82,7 +82,7 @@ def eliminate_common_subexpressions(
 
     # First-appearance order, so temporary names do not follow hashing.
     temps = {
-        key: func.new_reg(result_type(key), "cse")
+        key: func.new_reg(RESULT_TYPE[key.opcode], "cse")
         for key in universe.bits if key in redundant_keys
     }
 

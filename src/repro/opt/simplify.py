@@ -10,8 +10,8 @@ from __future__ import annotations
 from ..analysis.ud_du import Chains, ChainsHolder
 from ..ir.function import Function
 from ..ir.instruction import Instr
-from ..ir.opcodes import Opcode
-from ..ir.types import ScalarType, low32, sign_extend
+from ..ir.opcodes import RESULT_TYPE, Opcode
+from ..ir.types import low32, sign_extend
 
 _NEUTRAL_RIGHT = {
     Opcode.ADD32: 0, Opcode.SUB32: 0, Opcode.MUL32: 1,
@@ -50,8 +50,7 @@ def simplify(func: Function, holder: ChainsHolder | None = None) -> bool:
 
 
 def _norm(value: int, opcode: Opcode) -> int:
-    bits = 64 if "64" in opcode.value else 32
-    return sign_extend(value, bits)
+    return sign_extend(value, RESULT_TYPE[opcode].bits)
 
 
 def _algebraic(func: Function, chains: Chains) -> bool:
@@ -69,10 +68,9 @@ def _algebraic(func: Function, chains: Chains) -> bool:
             replacement: Instr | None = None
             if isinstance(rhs, int) and opcode in _ZERO_RIGHT \
                     and _norm(rhs, opcode) == _ZERO_RIGHT[opcode]:
-                zero_type = (ScalarType.I64 if "64" in opcode.value
-                             else ScalarType.I32)
                 replacement = Instr(Opcode.CONST, instr.dest, imm=0,
-                                    elem=zero_type, comment="simplified")
+                                    elem=RESULT_TYPE[opcode],
+                                    comment="simplified")
             elif (isinstance(rhs, int)
                   and _norm(rhs, opcode) == _NEUTRAL_RIGHT[opcode]):
                 replacement = Instr(Opcode.MOV, instr.dest, (instr.srcs[0],),

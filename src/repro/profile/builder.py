@@ -27,9 +27,9 @@ components so recursion cannot double-count.
 from __future__ import annotations
 
 from ..core.config import DEFAULT_ENGINE
-from ..interp.interpreter import _EXTEND_WIDTH, ExecResult
+from ..interp.interpreter import ExecResult
 from ..ir.function import Function, Program
-from ..ir.opcodes import Opcode
+from ..ir.opcodes import EXTEND_BITS, Opcode
 from ..machine.costs import DEFAULT_COSTS
 from ..machine.model import MachineTraits
 from ..telemetry.decisions import DecisionLog
@@ -39,19 +39,6 @@ from .model import (
     ExtendSite,
     FunctionProfile,
 )
-
-_TERMINATORS = (Opcode.BR, Opcode.JMP, Opcode.RET)
-
-
-def _executed_cut(block) -> list:
-    """Instructions through the first terminator — what both engines
-    execute on entry (the tail past a terminator is unreachable)."""
-    cut = []
-    for instr in block.instrs:
-        cut.append(instr)
-        if instr.opcode in _TERMINATORS:
-            break
-    return cut
 
 
 def build_profile(
@@ -123,7 +110,7 @@ def _profile_function(func: Function, result: ExecResult,
         edges=dict(result.profiles.get(func.name, {})),
     )
     for index, block in enumerate(func.blocks):
-        cut = _executed_cut(block)
+        cut = block.executed()
         entries = site_counts.get(cut[0].uid, 0) if cut else 0
         self_cycles = 0.0
         sites: list[ExtendSite] = []
@@ -133,7 +120,7 @@ def _profile_function(func: Function, result: ExecResult,
                 verdict, cause = verdicts.get(instr.uid, (None, None))
                 sites.append(ExtendSite(
                     uid=instr.uid, instr=str(instr),
-                    width=_EXTEND_WIDTH[instr.opcode],
+                    width=EXTEND_BITS[instr.opcode],
                     count=entries, verdict=verdict, cause=cause,
                 ))
             else:
