@@ -8,8 +8,11 @@ This implementation computes, per definition, a conservative interval of
 the *semantic signed 32-bit value* the register carries, by structural
 recursion over UD chains.  Cycles (loop-carried values) go to TOP, and
 any arithmetic whose interval could leave the signed 32-bit range goes
-to TOP (wraparound makes the interval meaningless).  The result is
-always an over-approximation, which keeps the theorems sound.
+to TOP (wraparound makes the interval meaningless).  So does a
+definition more than ``MAX_CHAIN_DEPTH`` links up the chain being
+followed, which keeps the recursion bounded however long a chain of
+dependent operations is.  The result is always an over-approximation,
+which keeps the theorems sound.
 """
 
 from __future__ import annotations
@@ -45,6 +48,12 @@ class Interval:
 
 
 TOP = Interval(INT32_MIN, INT32_MAX)
+
+#: Definitions followed up one use-def chain before answering TOP.  A
+#: link costs three to six Python frames, so the analysis stays well
+#: inside CPython's default recursion limit and its answer never depends
+#: on that limit.
+MAX_CHAIN_DEPTH = 64
 
 
 def _clamped(lo: int, hi: int) -> Interval:
@@ -86,8 +95,9 @@ class ValueRanges:
         cached = self._memo.get(definition.index)
         if cached is not None:
             return cached
-        if definition.index in self._visiting:
-            return TOP  # loop-carried: conservative
+        if definition.index in self._visiting \
+                or len(self._visiting) >= MAX_CHAIN_DEPTH:
+            return TOP  # loop-carried, or too far up the chain
         self._visiting.add(definition.index)
         try:
             interval = self._evaluate(definition.instr)
@@ -192,8 +202,6 @@ class ValueRanges:
                 lows = [dividend.lo // divisor, dividend.hi // divisor]
                 # Java division truncates toward zero; bound loosely.
                 return _clamped(min(lows) - 1, max(lows) + 1)
-            return TOP
-        if opcode is Opcode.D2I:
             return TOP
         return TOP
 

@@ -31,12 +31,17 @@ whether through an index's definitions or through copies, resolve
 wrap-around +/-: the ``just_extended`` dummy markers after array
 accesses are what make loop-carried index reasoning succeed, exactly as
 in the paper.
+
+Every walk stops ``MAX_CHAIN_DEPTH`` links deep and answers
+conservatively there (as if the extension were needed), so a long chain
+of dependent operations neither overflows Python's stack nor gets an
+answer that depends on ``sys.getrecursionlimit()``.
 """
 
 from __future__ import annotations
 
 from ..analysis.ud_du import Chains
-from ..analysis.value_range import Interval, ValueRanges
+from ..analysis.value_range import MAX_CHAIN_DEPTH, Interval, ValueRanges
 from ..ir.instruction import Instr
 from ..ir.opcodes import EXTEND_BITS, Opcode
 from ..ir.semantics import (
@@ -87,6 +92,8 @@ class Eliminator:
         self._zero_flags: set[int] = set()
         self._array_flags: set[int] = set()
         self._copy_flags: set[int] = set()
+        #: links the current walk is deep, over every recursive walk
+        self._depth = 0
         # Optional decision recording.  ``_trail`` is non-None only
         # while a candidate is being analyzed with telemetry attached;
         # every recording site is guarded on it, so the disabled path
@@ -243,11 +250,23 @@ class Eliminator:
             # destination's do.
             if instr.opcode not in ARRAY_TRANSPARENT_OPS:
                 analyze_array = False
+            if self._depth >= MAX_CHAIN_DEPTH:
+                if self._trail is not None:
+                    self._trail.append(
+                        f"AnalyzeUSE: uses past #{instr.uid} lie more than "
+                        f"{MAX_CHAIN_DEPTH} links down the chain; assumed to "
+                        "need the extension"
+                    )
+                return True
+            self._depth += 1
+            required = False
             for use in self.chains.uses_of(instr):
                 if self.analyze_use(ext, use.instr, use.index, width,
                                     analyze_array):
-                    return True
-            return False
+                    required = True
+                    break
+            self._depth -= 1
+            return required
         if self._trail is not None:
             self._trail.append(
                 f"AnalyzeUSE: use #{instr.uid} ({instr}) requires a "
@@ -289,11 +308,21 @@ class Eliminator:
             return cached
         if key in self._canon_in_progress:
             return False  # optimistic on Case-2 cycles
+        if self._depth >= MAX_CHAIN_DEPTH:
+            if self._trail is not None:
+                self._trail.append(
+                    f"AnalyzeDEF: definition #{instr.uid} lies more than "
+                    f"{MAX_CHAIN_DEPTH} links up the chain; canonicality "
+                    "unknown"
+                )
+            return True
         self._canon_in_progress.add(key)
+        self._depth += 1
         try:
             result = self._analyze_def_uncached(instr, width)
         finally:
             self._canon_in_progress.discard(key)
+            self._depth -= 1
         self._canon_memo[key] = result
         return result
 
@@ -392,9 +421,10 @@ class Eliminator:
             # The candidate extension is about to be removed: consult its
             # raw source definitions instead.
             return self._operand_upper_zero(instr, 0, None)
-        if instr.uid in self._zero_flags:
-            return False  # pessimistic on cycles
+        if instr.uid in self._zero_flags or self._depth >= MAX_CHAIN_DEPTH:
+            return False  # pessimistic on cycles and deep chains
         self._zero_flags.add(instr.uid)
+        self._depth += 1
         try:
             if upper32_zero(instr, self.traits, self.chains.const_of):
                 return True
@@ -426,6 +456,7 @@ class Eliminator:
             return False
         finally:
             self._zero_flags.discard(instr.uid)
+            self._depth -= 1
 
     # -- AnalyzeARRAY (Theorems 1-4) ---------------------------------------------
 
@@ -503,16 +534,19 @@ class Eliminator:
 
     def _theorem_operand_ok(self, instr: Instr, index: int, ext: Instr) -> bool:
         # A copy cycle (``t = mov a; a = mov t``) leads back here; like
-        # an ARRAY cycle, a copy met again on the path fails.
-        if instr.uid in self._copy_flags:
+        # an ARRAY cycle, a copy met again on the path fails, as does a
+        # copy chain too deep to follow.
+        if instr.uid in self._copy_flags or self._depth >= MAX_CHAIN_DEPTH:
             return False
         self._copy_flags.add(instr.uid)
+        self._depth += 1
         try:
             return all(self._theorem_value_ok(d, ext) for d in
                        self._bypassing(self.chains.defs_for(instr, index),
                                        ext))
         finally:
             self._copy_flags.discard(instr.uid)
+            self._depth -= 1
 
     def _theorem_bound(self) -> int:
         """Lower bound on the non-negative-ish operand: Theorem 2 needs

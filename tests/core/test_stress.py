@@ -1,7 +1,14 @@
 """Stress tests: larger generated programs through the full pipeline."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.core import VARIANTS, compile_ir
 from repro.frontend import compile_source
 from repro.interp import Interpreter
@@ -100,3 +107,65 @@ class TestScale:
         compiled = compile_ir(program, VARIANTS["new algorithm (all)"])
         result = Interpreter(compiled.program).run()
         assert result.ret_value == 2 ** depth
+
+
+def _chain(terms: int) -> str:
+    """``x + x + ... + x`` over a parameter, so no pass folds it away."""
+    return ("int f(int x) { return " + " + ".join(["x"] * terms) + "; }\n"
+            "int main() { int r = f(3); sink(r); return r; }")
+
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+#: In a fresh interpreter, whose recursion limit no ``Interpreter`` has
+#: raised yet: compile the chain, serve it, then compile it again.
+FRESH_PROCESS = f"""
+import http.client, json, sys
+sys.path.insert(0, {str(SRC)!r})
+import repro
+from repro.ir.printer import format_program
+from repro.serve import ServerConfig, ServerThread
+
+source = {_chain(500)!r}
+limit_before = sys.getrecursionlimit()
+fresh = format_program(repro.compile(source).program)
+statuses = []
+with ServerThread(ServerConfig(port=0, workers=1)) as thread:
+    for path in ("/v1/compile", "/v1/run"):
+        connection = http.client.HTTPConnection("127.0.0.1",
+                                                thread.server.port,
+                                                timeout=120)
+        connection.request("POST", path, json.dumps({{"source": source}}))
+        statuses.append(connection.getresponse().status)
+        connection.close()
+again = format_program(repro.compile(source).program)
+print(json.dumps({{"statuses": statuses, "same_ir": fresh == again,
+                  "limit_before": limit_before,
+                  "limit_after": sys.getrecursionlimit()}}))
+"""
+
+
+class TestLongChains:
+    """A chain of dependent operations longer than Python's recursion
+    limit: phase 3's walks stop at a fixed depth and keep the extension
+    there, instead of overflowing the stack."""
+
+    @pytest.mark.parametrize("machine", ["ia64", "ppc64"])
+    @pytest.mark.parametrize("terms", [500, 2000])
+    def test_compiles_and_runs_equal_to_gold(self, terms, machine):
+        outcome = repro.run(_chain(terms), repro.CompileOptions(
+            machine=machine))
+        assert outcome.verified
+        assert outcome.ret_value == 3 * terms
+
+    def test_answer_does_not_depend_on_the_recursion_limit(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        done = subprocess.run([sys.executable, "-c", FRESH_PROCESS],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        report = json.loads(done.stdout.splitlines()[-1])
+        assert report["statuses"] == [200, 200]
+        assert report["same_ir"]
+        # The served run raised the limit between the two compiles.
+        assert report["limit_before"] < report["limit_after"]
