@@ -131,9 +131,6 @@ def compile(
     options = options if options is not None else CompileOptions()
     program = _coerce_program(source)
     cfg = config if config is not None else options.config()
-    # A program lowered from text or a path here is held by nothing else,
-    # so compiling it in place needs no defensive clone.
-    clone = options.clone and isinstance(source, Program)
 
     if driver is not None:
         return driver.compile_one(CompileJob(
@@ -155,8 +152,10 @@ def compile(
                 trace_id=trace_id,
             ))
     telemetry = Telemetry(label=program.name) if options.telemetry else None
-    return compile_ir(program, cfg, profiles, clone=clone,
-                      telemetry=telemetry)
+    # A program lowered from text or a path here is held by nothing else,
+    # so only a caller's ``Program`` needs a defensive clone.
+    return compile_ir(program, cfg, profiles,
+                      clone=isinstance(source, Program), telemetry=telemetry)
 
 
 @dataclass

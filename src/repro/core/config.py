@@ -130,10 +130,6 @@ class CompileOptions:
     cache_max_bytes: int | None = None
     #: seconds before a pool job falls back to in-process compilation
     timeout: float | None = None
-    #: clone an input ``Program`` before compiling (disable only when the
-    #: caller owns the program outright and wants it consumed in place);
-    #: a program ``repro.compile`` lowers from text or a path is never cloned
-    clone: bool = True
     #: execution engine for every interpreter run the entry point makes:
     #: ``"closure"`` (translated threaded code), ``"reference"`` (the
     #: per-step oracle loop), or ``"both"`` (run both, assert parity)
