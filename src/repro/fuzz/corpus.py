@@ -24,6 +24,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
+from ..decode import Fields
 from ..driver.cache import default_cache_dir
 
 SCHEMA_VERSION = 1
@@ -78,11 +79,17 @@ class Witness:
 
     @classmethod
     def from_dict(cls, document: dict) -> "Witness":
-        if not isinstance(document, dict):
-            raise TypeError(f"witness document must be a dict, "
-                            f"not {type(document).__name__}")
-        known = {f for f in cls.__dataclass_fields__}
-        return cls(**{k: v for k, v in document.items() if k in known})
+        """Decode one witness: its schema version and every field's
+        type; raises :class:`DocumentError`."""
+        read = Fields(document, "witness", schema_version=SCHEMA_VERSION)
+        return cls(
+            seed=read("seed", int),
+            **{key: read(key, str) for key in (
+                "variant", "machine", "kind", "detail", "source")},
+            reduced_source=read("reduced_source", str, None),
+            package_version=read("package_version", str, ""),
+            created=read("created", float, 0.0),
+        )
 
 
 class Corpus:
@@ -92,9 +99,6 @@ class Corpus:
         self.directory = (Path(directory) if directory is not None
                           else default_corpus_dir())
 
-    def path_for(self, witness: Witness) -> Path:
-        return self.directory / f"{witness.id}.json"
-
     def add(self, witness: Witness) -> Path:
         """Persist (or update) one witness; returns its file path."""
         if not witness.package_version:
@@ -102,7 +106,7 @@ class Corpus:
 
             witness.package_version = __version__
         self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(witness)
+        path = self.directory / f"{witness.id}.json"
         tmp = path.with_suffix(".json.tmp")
         with open(tmp, "w") as handle:
             json.dump(witness.to_dict(), handle, indent=2, sort_keys=True)
@@ -111,20 +115,16 @@ class Corpus:
         return path
 
     def entries(self) -> list[Witness]:
-        """Every readable witness, oldest first (stable replay order)."""
-        if not self.directory.is_dir():
-            return []
+        """Every witness that loads, oldest first (stable replay order)."""
         witnesses = []
         for path in sorted(self.directory.glob("*.json")):
             try:
                 with open(path) as handle:
                     witnesses.append(Witness.from_dict(json.load(handle)))
-            except (OSError, ValueError, TypeError):
-                continue  # unreadable entries never kill a campaign
+            except (OSError, ValueError, RecursionError):
+                continue  # a bad entry never kills a campaign
         witnesses.sort(key=lambda w: (w.created, w.id))
         return witnesses
 
     def __len__(self) -> int:
-        if not self.directory.is_dir():
-            return 0
-        return sum(1 for _ in self.directory.glob("*.json"))
+        return len(self.entries())

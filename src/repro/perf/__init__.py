@@ -3,11 +3,12 @@
 The perf subsystem makes every benchmark number in this repo a row in
 an append-only timeseries instead of a write-once snapshot:
 
-* :mod:`~repro.perf.record` — the :class:`RunRecord` schema: one bench
-  cell with per-phase wall times, deterministic measures, counter
-  families, and full provenance (host, config fingerprint, git rev);
+* :mod:`~repro.perf.record` — the :class:`RunRecord` schema and its one
+  decoder: one bench cell with per-phase wall times, deterministic
+  measures, counter families, and full provenance (host, config
+  fingerprint, git rev);
 * :mod:`~repro.perf.store` — the JSONL :class:`HistoryStore` with
-  content-addressed dedup and a schema-version gate;
+  content-addressed dedup, skipping every line the decoder rejects;
 * :mod:`~repro.perf.compare` — the statistical compare engine:
   min-of-repeats, MAD noise floor, exact comparison of deterministic
   counts, machine-readable ``improved``/``regressed``/``neutral``
@@ -36,7 +37,7 @@ from .grid import (
     DEFAULT_RECORD_WORKLOADS,
     record_grid,
 )
-from .record import SCHEMA_VERSION, CellKey, RunRecord, validate_record
+from .record import SCHEMA_VERSION, CellKey, RunRecord
 from .recorder import (
     PERF_DIR_ENV,
     PerfRecorder,
@@ -45,12 +46,7 @@ from .recorder import (
     recorder_from_env,
 )
 from .report import format_history_summary, render_html
-from .store import (
-    HistoryStore,
-    default_history_dir,
-    load_jsonl,
-    migrate_record,
-)
+from .store import HistoryStore, default_history_dir, load_jsonl
 
 __all__ = [
     "CellKey",
@@ -69,11 +65,9 @@ __all__ = [
     "format_history_summary",
     "host_fingerprint",
     "load_jsonl",
-    "migrate_record",
     "parse_threshold",
     "record_grid",
     "recorder_from_env",
     "render_html",
     "scaled_mad",
-    "validate_record",
 ]

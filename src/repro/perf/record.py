@@ -36,6 +36,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Any, NamedTuple
 
+from ..decode import DocumentError, Fields
+
 SCHEMA_VERSION = 1
 
 #: Measures that are deterministic functions of (program, config,
@@ -124,36 +126,24 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, document: dict[str, Any]) -> "RunRecord":
-        if not isinstance(document, dict):
-            raise TypeError("run record document must be a dict, not "
-                            f"{type(document).__name__}")
-        known = set(cls.__dataclass_fields__)
-        fields = {k: v for k, v in document.items() if k in known}
-        for required in ("workload", "variant", "engine", "machine"):
-            if required not in fields:
-                raise ValueError(f"run record missing {required!r}")
-        fields.setdefault("source", "unknown")
-        fields.setdefault("fuel", 0)
-        return cls(**fields)
-
-
-def validate_record(document: dict[str, Any]) -> list[str]:
-    """Schema check for one serialized record; returns problems."""
-    problems: list[str] = []
-    if not isinstance(document, dict):
-        return ["record is not an object"]
-    for key in ("workload", "variant", "engine", "machine",
-                "schema_version"):
-        if key not in document:
-            problems.append(f"missing key {key!r}")
-    for key in ("phases", "measures", "counters"):
-        value = document.get(key)
-        if value is not None and not isinstance(value, dict):
-            problems.append(f"{key} is not an object")
-    phases = document.get("phases") or {}
-    if isinstance(phases, dict):
+        """Decode one record: its schema version, every field's type and
+        non-negative phases; raises :class:`DocumentError`."""
+        read = Fields(document, "run record", schema_version=SCHEMA_VERSION)
+        phases = read.map("phases", float, {})
         for name, seconds in phases.items():
-            if not isinstance(seconds, (int, float)) or seconds < 0:
-                problems.append(f"phase {name!r} has bad duration "
-                                f"{seconds!r}")
-    return problems
+            if seconds < 0:
+                raise DocumentError(f"run record phase {name!r} has "
+                                    f"negative duration {seconds!r}")
+        return cls(
+            **{key: read(key, str) for key in CellKey._fields},
+            source=read("source", str, "unknown"),
+            fuel=read("fuel", int, 0),
+            repeat=read("repeat", int, 0),
+            phases=phases,
+            measures=read.map("measures", float, {}),
+            counters=read.map("counters", int, {}),
+            host=read.map("host", str, {}),
+            **{key: read(key, str, "") for key in (
+                "config_fingerprint", "git_rev", "package_version", "run_id")},
+            created=read("created", float, 0.0),
+        )

@@ -10,12 +10,13 @@ rest of the perf subsystem relies on:
   tracked; appending an already-present record is a no-op, so
   re-importing a baseline file or replaying a CI artifact never
   inflates the history;
-* **schema-version gate** — a record whose ``schema_version`` is not
-  the current one (a newer schema than this code understands, or none
-  at all) is skipped rather than misread;
-* **corruption tolerance** — a truncated or garbled line is skipped
-  (and counted), never fatal: a perf history must not be able to break
-  the benchmarks that feed it.
+* **one decoder** — every line goes through
+  :meth:`~repro.perf.record.RunRecord.from_dict`, which checks each
+  field (type, non-negative phase durations, and a ``schema_version``
+  equal to the one this code writes);
+* **corruption tolerance** — a truncated or garbled line, or one the
+  decoder rejects, is skipped, never fatal: a perf history must not be
+  able to break the benchmarks that feed it.
 
 ``perf/baseline.jsonl`` in the repository root is the same format with
 no directory wrapper — :func:`load_jsonl` reads either.
@@ -26,10 +27,10 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Iterable
 
 from ..driver.cache import default_cache_dir
-from .record import SCHEMA_VERSION, RunRecord
+from .record import RunRecord
 
 HISTORY_FILENAME = "history.jsonl"
 
@@ -39,30 +40,14 @@ def default_history_dir() -> Path:
     return default_cache_dir() / "perf-history"
 
 
-# -- schema version -----------------------------------------------------------
-
-def migrate_record(document: dict[str, Any]) -> dict[str, Any] | None:
-    """The record document, if this code can read its schema.
-
-    Every record ever written is at the current ``SCHEMA_VERSION``, so
-    there is nothing to upgrade.  Returns ``None`` for documents newer
-    than this code (a downgraded checkout must not misread them) or
-    with no usable version.
-    """
-    if not isinstance(document, dict):
-        return None
-    if document.get("schema_version") != SCHEMA_VERSION:
-        return None
-    return document
-
-
 # -- reading ------------------------------------------------------------------
 
 def load_jsonl(path: str | Path) -> list[RunRecord]:
     """Every readable record in one JSONL file, in file order.
 
-    Unparseable lines and unmigratable documents are skipped — the
-    history must never be able to fail a benchmark run.
+    A line that is not JSON (or nests too deep to parse), or that
+    :meth:`RunRecord.from_dict` rejects, is skipped — the history must
+    never be able to fail a benchmark run.
     """
     path = Path(path)
     if not path.is_file():
@@ -74,15 +59,8 @@ def load_jsonl(path: str | Path) -> list[RunRecord]:
             if not line:
                 continue
             try:
-                document = json.loads(line)
-            except ValueError:
-                continue
-            document = migrate_record(document)
-            if document is None:
-                continue
-            try:
-                records.append(RunRecord.from_dict(document))
-            except (TypeError, ValueError):
+                records.append(RunRecord.from_dict(json.loads(line)))
+            except (ValueError, RecursionError):  # not JSON, or rejected
                 continue
     return records
 
@@ -135,11 +113,8 @@ class HistoryStore:
 
     def run_ids(self) -> list[str]:
         """Distinct run ids, oldest first (by first appearance)."""
-        seen: dict[str, None] = {}
-        for record in self.records():
-            if record.run_id and record.run_id not in seen:
-                seen[record.run_id] = None
-        return list(seen)
+        return list(dict.fromkeys(r.run_id for r in self.records()
+                                  if r.run_id))
 
     def records_for_run(self, run_id: str) -> list[RunRecord]:
         return [r for r in self.records() if r.run_id == run_id]
@@ -147,10 +122,8 @@ class HistoryStore:
     def latest_runs(self, count: int = 2) -> list[list[RunRecord]]:
         """The newest ``count`` record batches, newest first."""
         ids = self.run_ids()
-        batches = []
-        for run_id in reversed(ids[-count:] if count else ids):
-            batches.append(self.records_for_run(run_id))
-        return batches
+        return [self.records_for_run(run_id)
+                for run_id in reversed(ids[-count:] if count else ids)]
 
     def __len__(self) -> int:
         return len(self._known_ids())

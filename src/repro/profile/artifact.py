@@ -12,7 +12,7 @@ import json
 import re
 from pathlib import Path
 
-from .model import ExecutionProfile, validate_profile
+from .model import ExecutionProfile
 
 ARTIFACT_SUFFIX = ".profile.json"
 
@@ -41,31 +41,29 @@ def write_profile(profile: ExecutionProfile,
 
 
 def load_profile(path: str | Path) -> ExecutionProfile:
-    """Load and schema-validate one artifact."""
+    """Load and decode one artifact; raises ``OSError``, ``ValueError``,
+    or ``RecursionError`` for JSON nested too deep to parse."""
     with open(path, encoding="utf-8") as handle:
         document = json.load(handle)
     return ExecutionProfile.from_dict(document)
 
 
 def load_profiles(directory: str | Path) -> list[ExecutionProfile]:
-    """Every valid artifact under ``directory``, in name order."""
-    directory = Path(directory)
+    """Every artifact under ``directory`` that loads, in name order."""
     profiles = []
-    if not directory.is_dir():
-        return profiles
-    for path in sorted(directory.glob(f"*{ARTIFACT_SUFFIX}")):
+    for path in sorted(Path(directory).glob(f"*{ARTIFACT_SUFFIX}")):
         try:
             profiles.append(load_profile(path))
-        except (ValueError, json.JSONDecodeError, OSError):
-            continue  # skip foreign or truncated files, keep the rest
+        except (OSError, ValueError, RecursionError):
+            continue  # skip foreign, truncated or malformed files
     return profiles
 
 
 def validate_artifact_file(path: str | Path) -> list[str]:
-    """Schema-check one on-disk artifact; returns problem strings."""
+    """Problems loading one on-disk artifact: ``[]``, or the one message
+    of the file system, the JSON parser or the decoder."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        return [f"unreadable artifact: {exc}"]
-    return validate_profile(document)
+        load_profile(path)
+    except (OSError, ValueError, RecursionError) as exc:
+        return [str(exc)]
+    return []

@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any
 
 from ..analysis.frequency import BranchProfile
+from ..decode import DocumentError, Fields
 
-#: Bump when the artifact layout changes; loaders reject newer majors.
+#: Bump when the artifact layout changes; the decoder reads only this one.
 SCHEMA_VERSION = 1
 
 #: Discriminator so a profile artifact is never mistaken for telemetry,
@@ -196,9 +198,7 @@ class ExecutionProfile:
     def fingerprint(self) -> str:
         """SHA-256 over the canonical payload; content-addresses the
         artifact the same way perf records and the compile cache are."""
-        canonical = json.dumps(self.payload(), sort_keys=True,
-                               separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return _digest(self.payload())
 
     def to_dict(self) -> dict[str, Any]:
         document = self.payload()
@@ -207,52 +207,58 @@ class ExecutionProfile:
 
     @classmethod
     def from_dict(cls, document: dict[str, Any]) -> "ExecutionProfile":
-        problems = validate_profile(document)
-        if problems:
-            raise ValueError(f"invalid profile artifact: {problems[0]}")
-        totals = document["totals"]
-        profile = cls(
-            program=document["program"],
-            engine=document["engine"],
-            variant=document.get("variant", ""),
-            machine=document.get("machine", ""),
-            workload=document.get("workload", ""),
-            steps=document["steps"],
-            checksum=int(document["checksum"], 16),
-            total_cycles=totals["cycles"],
-            extend_cycles=totals["extend_cycles"],
-            extend_totals={int(w): c
-                           for w, c in totals["extends"].items()},
-            opcode_totals=dict(totals["opcodes"]),
+        """Decode one artifact: its kind, schema version, fingerprint,
+        hex checksum and every field; raises :class:`DocumentError`."""
+        read = Fields(document, "profile artifact", kind=ARTIFACT_KIND,
+                      schema_version=SCHEMA_VERSION)
+        body = {k: v for k, v in document.items() if k != "fingerprint"}
+        if read("fingerprint", str) != _digest(body):
+            raise DocumentError("profile artifact fingerprint does not "
+                                "match its payload")
+        checksum = read("checksum", str)
+        if not re.fullmatch("0x[0-9a-f]{16}", checksum):
+            raise DocumentError(f"profile artifact checksum {checksum!r} "
+                                "is not 16 hex digits")
+        totals = Fields(read("totals", dict), "profile artifact.totals")
+        return cls(
+            program=read("program", str),
+            engine=read("engine", str),
+            variant=read("variant", str, ""),
+            machine=read("machine", str, ""),
+            workload=read("workload", str, ""),
+            steps=read("steps", int),
+            checksum=int(checksum, 16),
+            total_cycles=totals("cycles", float),
+            extend_cycles=totals("extend_cycles", float),
+            extend_totals=totals.map("extends", int, keys=int),
+            opcode_totals=totals.map("opcodes", int),
+            functions=[FunctionProfile(
+                name=func("name", str),
+                entries=func("entries", int),
+                self_cycles=func("self_cycles", float),
+                cumulative_cycles=func("cumulative_cycles", float),
+                calls=func.map("calls", int),
+                edges={(edge("src", str), edge("dst", str)):
+                       edge("count", int) for edge in func.objects("edges")},
+                blocks=[BlockProfile(
+                    label=block("label", str),
+                    entries=block("entries", int),
+                    instrs=block("instrs", int),
+                    self_cycles=block("self_cycles", float),
+                    extend_sites=[ExtendSite(
+                        uid=site("uid", int), instr=site("instr", str),
+                        width=site("width", int), count=site("count", int),
+                        verdict=site("verdict", str, None),
+                        cause=site("cause", str, None),
+                    ) for site in block.objects("extend_sites")],
+                ) for block in func.objects("blocks")],
+            ) for func in read.objects("functions")],
         )
-        for fdoc in document["functions"]:
-            func = FunctionProfile(
-                name=fdoc["name"],
-                entries=fdoc["entries"],
-                self_cycles=fdoc["self_cycles"],
-                cumulative_cycles=fdoc["cumulative_cycles"],
-                calls=dict(fdoc["calls"]),
-                edges={(e["src"], e["dst"]): e["count"]
-                       for e in fdoc["edges"]},
-            )
-            for bdoc in fdoc["blocks"]:
-                func.blocks.append(BlockProfile(
-                    label=bdoc["label"],
-                    entries=bdoc["entries"],
-                    instrs=bdoc["instrs"],
-                    self_cycles=bdoc["self_cycles"],
-                    extend_sites=[
-                        ExtendSite(
-                            uid=s["uid"], instr=s["instr"],
-                            width=s["width"], count=s["count"],
-                            verdict=s.get("verdict"),
-                            cause=s.get("cause"),
-                        )
-                        for s in bdoc["extend_sites"]
-                    ],
-                ))
-            profile.functions.append(func)
-        return profile
+
+
+def _digest(payload: dict[str, Any]) -> str:
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _ranked_functions(
@@ -269,53 +275,10 @@ def _ranked_blocks(blocks: list[BlockProfile]) -> list[BlockProfile]:
 
 
 def validate_profile(document: Any) -> list[str]:
-    """Schema-check one artifact document; returns problem strings.
-
-    Mirrors ``validate_telemetry_document``/``validate_record``: cheap
-    structural validation CI can run against emitted artifacts.
-    """
-    problems: list[str] = []
-    if not isinstance(document, dict):
-        return ["artifact is not a JSON object"]
-    if document.get("kind") != ARTIFACT_KIND:
-        problems.append(f"kind is {document.get('kind')!r}, "
-                        f"expected {ARTIFACT_KIND!r}")
-    version = document.get("schema_version")
-    if not isinstance(version, int) or version < 1:
-        problems.append(f"bad schema_version: {version!r}")
-    elif version > SCHEMA_VERSION:
-        problems.append(f"schema_version {version} is newer than "
-                        f"supported {SCHEMA_VERSION}")
-    for key, types in (("program", str), ("engine", str), ("steps", int),
-                       ("checksum", str), ("totals", dict),
-                       ("functions", list), ("fingerprint", str)):
-        if not isinstance(document.get(key), types):
-            problems.append(f"missing or mistyped field: {key}")
-    if problems:
-        return problems
-    totals = document["totals"]
-    for key in ("cycles", "extend_cycles", "extends", "opcodes"):
-        if key not in totals:
-            problems.append(f"totals is missing {key}")
-    for fdoc in document["functions"]:
-        if not isinstance(fdoc, dict) or "name" not in fdoc:
-            problems.append("malformed function entry")
-            continue
-        for key in ("entries", "self_cycles", "cumulative_cycles",
-                    "calls", "blocks", "edges"):
-            if key not in fdoc:
-                problems.append(f"function {fdoc['name']} missing {key}")
-        for bdoc in fdoc.get("blocks", ()):
-            for key in ("label", "entries", "instrs", "self_cycles",
-                        "extend_sites"):
-                if key not in bdoc:
-                    problems.append(
-                        f"block in {fdoc['name']} missing {key}")
-                    break
-    # The fingerprint must match the payload it claims to address.
-    body = {k: v for k, v in document.items() if k != "fingerprint"}
-    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-    if digest != document["fingerprint"]:
-        problems.append("fingerprint does not match payload")
-    return problems
+    """Problems decoding one artifact document: ``[]``, or the one
+    message of :meth:`ExecutionProfile.from_dict`."""
+    try:
+        ExecutionProfile.from_dict(document)
+    except DocumentError as exc:
+        return [str(exc)]
+    return []

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.perf import RunRecord, validate_record
+from repro.decode import DocumentError
+from repro.perf import RunRecord
 from repro.perf.record import CellKey
 
 
@@ -55,21 +56,27 @@ class TestSerialization:
 
 
 class TestValidate:
+    """The decoder's field checks (once a separate ``validate_record``
+    walk): each problem is a :class:`DocumentError` naming the field."""
+
     def test_good_record_validates(self, make_record):
-        assert validate_record(make_record().to_dict()) == []
+        record = make_record()
+        assert RunRecord.from_dict(record.to_dict()) == record
 
     def test_missing_key_reported(self, make_record):
         document = make_record().to_dict()
         del document["schema_version"]
-        assert any("schema_version" in p
-                   for p in validate_record(document))
+        with pytest.raises(DocumentError, match="schema_version"):
+            RunRecord.from_dict(document)
 
     def test_negative_phase_reported(self, make_record):
         document = make_record().to_dict()
         document["phases"]["execute"] = -0.5
-        assert any("execute" in p for p in validate_record(document))
+        with pytest.raises(DocumentError, match="execute"):
+            RunRecord.from_dict(document)
 
     def test_non_dict_blocks_reported(self, make_record):
         document = make_record().to_dict()
         document["measures"] = [1, 2, 3]
-        assert any("measures" in p for p in validate_record(document))
+        with pytest.raises(DocumentError, match="measures"):
+            RunRecord.from_dict(document)

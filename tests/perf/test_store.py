@@ -2,12 +2,10 @@
 
 import json
 
-from repro.perf import (
-    HistoryStore,
-    SCHEMA_VERSION,
-    load_jsonl,
-    migrate_record,
-)
+import pytest
+
+from repro.decode import DocumentError
+from repro.perf import HistoryStore, RunRecord, SCHEMA_VERSION, load_jsonl
 
 
 class TestAppendDedup:
@@ -83,10 +81,14 @@ class TestRobustness:
 
 
 class TestMigration:
-    def test_newer_schema_is_skipped(self, make_record):
+    def test_newer_schema_is_skipped(self, tmp_path, make_record):
         document = make_record().to_dict()
         document["schema_version"] = SCHEMA_VERSION + 1
-        assert migrate_record(document) is None
+        with pytest.raises(DocumentError, match="schema_version"):
+            RunRecord.from_dict(document)
+        path = tmp_path / "newer.jsonl"
+        path.write_text(json.dumps(document) + "\n")
+        assert load_jsonl(path) == []
 
     def test_unversioned_record_skipped_on_load(self, tmp_path,
                                                 make_record):

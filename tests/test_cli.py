@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
 import argparse
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,8 @@ from repro.core import VARIANTS
 from repro.machine import MACHINES
 from repro.telemetry import validate_telemetry_document
 from repro.workloads import JBYTEMARK, SPECJVM98
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SOURCE = """
 double main() {
@@ -361,6 +365,76 @@ class TestProfile:
         assert "hot blocks (profile artifacts)" in html
         assert 'class="cell' in html
         assert "<script src" not in html and "<link" not in html
+
+
+class TestMalformedSavedDocuments:
+    """A malformed perf record, profile artifact or fuzz witness is
+    skipped, as its loader promises, never a traceback."""
+
+    def test_perf_compare_skips_a_record_with_bad_phases(self, tmp_path,
+                                                         capsys):
+        baseline = ROOT / "perf" / "baseline.jsonl"
+        lines = baseline.read_text().splitlines()[:2]
+        history = tmp_path / "ph"
+        history.mkdir()
+        documents = []
+        for run_id in ("run-1", "run-2"):
+            for line in lines:
+                documents.append({**json.loads(line), "run_id": run_id})
+        documents[1]["phases"] = "oops"
+        (history / "history.jsonl").write_text(
+            "".join(json.dumps(doc) + "\n" for doc in documents))
+        assert main(["perf", "compare", "--history", str(history)]) == 0
+        out = capsys.readouterr().out
+        assert "1 neutral, 1 new" in out
+
+    def test_perf_report_skips_an_artifact_with_a_bad_edge(self, tmp_path,
+                                                           capsys):
+        from repro.profile import validate_artifact_file
+
+        profiles = tmp_path / "profiles"
+        assert main(["profile", "fourier", "--dir", str(profiles)]) == 0
+        path, = profiles.glob("*.profile.json")
+        document = json.loads(path.read_text())
+        func = next(f for f in document["functions"] if f["edges"])
+        func["edges"][0] = {"src": "a"}
+        body = {k: v for k, v in document.items() if k != "fingerprint"}
+        document["fingerprint"] = hashlib.sha256(json.dumps(
+            body, sort_keys=True, separators=(",", ":")).encode()).hexdigest()
+        path.write_text(json.dumps(document))
+        out_file = tmp_path / "dash.html"
+        assert main(["perf", "report", "--history", str(tmp_path / "ph"),
+                     "--profiles", str(profiles),
+                     "--out", str(out_file)]) == 0
+        assert "[0 profile artifacts loaded" in capsys.readouterr().out
+        assert out_file.exists()
+        assert "'dst'" in validate_artifact_file(path)[0]
+
+    @pytest.mark.parametrize("field,value,replayed", [
+        ("created", "yesterday", 1),
+        ("variant", ["baseline"], 0),
+    ])
+    def test_fuzz_replay_skips_a_malformed_witness(self, tmp_path, capsys,
+                                                   field, value, replayed):
+        from repro.fuzz import Corpus, Witness
+
+        corpus = Corpus(tmp_path / "corpus")
+        good = Witness(seed=1, variant="baseline", machine="ia64",
+                       kind="output", detail="d",
+                       source="void main() { sink(1); }\n")
+        bad = Witness(seed=2, variant="baseline", machine="ia64",
+                      kind="output", detail="d",
+                      source="void main() { sink(2); }\n")
+        if replayed:  # a second entry for the replay-order sort to compare
+            corpus.add(good)
+        path = corpus.add(bad)
+        document = json.loads(path.read_text())
+        document[field] = value
+        path.write_text(json.dumps(document))
+        assert main(["fuzz", "--replay",
+                     "--corpus-dir", str(corpus.directory)]) == 0
+        out = capsys.readouterr().out
+        assert f"({replayed} witnesses replayed" in out
 
 
 class TestErrorPaths:
