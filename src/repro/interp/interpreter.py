@@ -398,19 +398,12 @@ class Interpreter:
     # -- helpers ---------------------------------------------------------------
 
     def _extend_loaded(self, raw: int | float, elem: ScalarType) -> int | float:
-        if elem is ScalarType.F64:
+        kind, bits = load_widening(elem, self.ideal, self.traits)
+        if kind == "float":
             return float(raw)
-        raw = int(raw)
-        if elem is ScalarType.REF or elem is ScalarType.I64:
-            return wrap_u64(raw)
-        if self.ideal:
-            if elem.signed:
-                return wrap_u64(sign_extend(raw, elem.bits))
-            return raw & 0xFFFF
-        ext = self.traits.load_extension(elem)
-        if ext is LoadExt.SIGN:
-            return wrap_u64(sign_extend(raw, elem.bits))
-        return raw & ((1 << elem.bits) - 1)
+        if kind == "sign":
+            return wrap_u64(sign_extend(int(raw), bits))
+        return int(raw) & ((1 << bits) - 1)  # "wide" keeps all 64 bits
 
 
 def _site_histogram(site_counts: dict[int, int]):
@@ -439,6 +432,22 @@ def const_image(imm: int | float, elem: ScalarType | None) -> int | float:
     if elem is ScalarType.I64 or elem is ScalarType.REF:
         return wrap_u64(int(imm))
     return wrap_u64(sign_extend(int(imm), 32))
+
+
+def load_widening(elem: ScalarType, ideal: bool,
+                  traits: MachineTraits) -> tuple[str, int]:
+    """How a loaded raw ``elem`` widens into a register: ``("float", 0)``,
+    ``("wide", 64)``, or ``("sign" | "zero", bits)`` as the machine's
+    natural load does (in ideal mode, as the element's signedness)."""
+    if elem is ScalarType.F64:
+        return ("float", 0)
+    if elem is ScalarType.REF or elem is ScalarType.I64:
+        return ("wide", 64)
+    if ideal:
+        return ("sign" if elem.signed else "zero", elem.bits)
+    if traits.load_extension(elem) is LoadExt.SIGN:
+        return ("sign", elem.bits)
+    return ("zero", elem.bits)
 
 
 def extend(opcode: Opcode, value: int) -> int:

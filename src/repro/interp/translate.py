@@ -52,7 +52,7 @@ from ..ir.instruction import Instr
 from ..ir.opcodes import COND_OPS, EXTEND_BITS, EXTEND_OPS, Opcode
 from ..ir.printer import format_function
 from ..ir.types import ScalarType, sign_extend, wrap_u64
-from ..machine.model import LoadExt, MachineTraits
+from ..machine.model import MachineTraits
 from .interpreter import (
     _FLOAT_OPS,
     _INT32_BINOPS,
@@ -60,6 +60,7 @@ from .interpreter import (
     _java_d2i,
     _java_d2l,
     const_image,
+    load_widening,
     sink_checksum,
 )
 from .memory import MemoryFault, Trap
@@ -390,24 +391,6 @@ def _mk_newarray(dst, src, elem):
     return op
 
 
-def _load_ext_params(elem: ScalarType, ideal: bool,
-                     traits: MachineTraits) -> tuple[str, int]:
-    """How a loaded raw value of ``elem`` widens into a register.
-
-    Mirrors ``Interpreter._extend_loaded`` with the mode and machine
-    traits resolved at translate time.
-    """
-    if elem is ScalarType.F64:
-        return ("float", 0)
-    if elem is ScalarType.REF or elem is ScalarType.I64:
-        return ("wide", 64)
-    if ideal:
-        return ("sign" if elem.signed else "zero", elem.bits)
-    if traits.load_extension(elem) is LoadExt.SIGN:
-        return ("sign", elem.bits)
-    return ("zero", elem.bits)
-
-
 def _mk_aload(dst, aref, aidx, kind, bits):
     if kind == "float":
         def op(regs, st):
@@ -724,7 +707,7 @@ class _Translator:
         if opcode is Opcode.NEWARRAY:
             return _mk_newarray(dst, self.slot(s[0].name), instr.elem)
         if opcode is Opcode.ALOAD:
-            kind, bits = _load_ext_params(instr.elem, self.ideal, self.traits)
+            kind, bits = load_widening(instr.elem, self.ideal, self.traits)
             return _mk_aload(dst, self.slot(s[0].name), self.slot(s[1].name),
                              kind, bits)
         if opcode is Opcode.ASTORE:
@@ -734,7 +717,7 @@ class _Translator:
             return _mk_arraylen(dst, self.slot(s[0].name))
 
         if opcode is Opcode.GLOAD:
-            kind, bits = _load_ext_params(instr.elem, self.ideal, self.traits)
+            kind, bits = load_widening(instr.elem, self.ideal, self.traits)
             return _mk_gload(dst, instr.gname, kind, bits)
         if opcode is Opcode.GSTORE:
             return _mk_gstore(self.slot(s[0].name), instr.gname, instr.elem)
