@@ -31,6 +31,7 @@ conservative, never unsound.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 from ..ir.block import Block
@@ -100,18 +101,19 @@ class Chains:
 
     def const_of(self, instr: Instr, operand_index: int) -> int | float | None:
         """The constant operand ``operand_index`` holds: the immediate
-        of every reaching definition when all are ``CONST`` with one
-        value, else None.  Callers that need an integer check for it."""
-        value = None
+        of its reaching definitions when all are ``CONST``s that set one
+        register image, else None.  Callers that need an integer check
+        for it."""
+        first = None
         for definition in self.defs_for(instr, operand_index):
             src = definition.instr
             if src is None or src.opcode is not Opcode.CONST:
                 return None
-            if value is None:
-                value = src.imm
-            elif value != src.imm:
+            if first is None:
+                first = src
+            elif _image_bits(src) != _image_bits(first):
                 return None
-        return value
+        return None if first is None else first.imm
 
     def uses_of(self, instr: Instr) -> list[Use]:
         """DU chain: uses reached by the definition made by ``instr``."""
@@ -275,3 +277,12 @@ class ChainsHolder:
 
     def invalidate(self) -> None:
         self._chains = None
+
+
+def _image_bits(const: Instr) -> int | bytes:
+    """The register image ``const`` sets, bit for bit: a float's IEEE-754
+    bytes, so ``-0.0`` is not ``0.0``."""
+    from ..interp.interpreter import const_image  # interp imports analysis
+
+    image = const_image(const.imm, const.elem)
+    return struct.pack("<d", image) if isinstance(image, float) else image
