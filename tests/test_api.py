@@ -44,7 +44,7 @@ class TestCompile:
         program = compile_source(SOURCE, "prog")
         result = repro.compile(program)
         assert isinstance(result.program, Program)
-        # options.clone defaults to True: the input is untouched.
+        # A Program argument is always cloned: the input is untouched.
         assert format_program(program) == \
             format_program(compile_source(SOURCE, "prog"))
 
