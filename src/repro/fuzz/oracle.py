@@ -73,7 +73,7 @@ def snapshot_heap(interp: Interpreter) -> tuple:
     """The comparable final heap state of a completed run."""
     return tuple(
         (array.elem.value, tuple(array.cells))
-        for array in interp.heap._arrays
+        for array in interp.heap.arrays
     )
 
 

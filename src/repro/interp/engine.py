@@ -11,6 +11,14 @@ Two interchangeable ways to run a program:
   over verified IR; a function it rejects fails construction with
   :class:`~repro.interp.translate.Untranslatable`.
 
+The closure frame loop runs a block, then follows its terminator: the
+block's ``branch`` closure (a ``BR``, fused with the compare before it
+when there is one) returns the next block's index; otherwise the
+block's ``target`` is the ``JMP`` successor, or -1 for a ``RET`` of
+``ret_slot``.  A block without calls runs as one pre-checked segment
+(``ops``, ``n_steps``); a block with calls, or without a terminator,
+goes through :meth:`ClosureInterpreter._run_segments`.
+
 Both engines produce bit-identical :class:`ExecResult` values — same
 checksum, return value, step count, site/opcode/extend counts, and
 branch profiles — and raise the same ``SimError`` subtypes with the
@@ -20,7 +28,7 @@ raises :class:`EngineParityError` on any disagreement, which the fuzz
 oracle uses as an internal-consistency check.
 
 One documented divergence remains, unobservable in practice: on a
-*failed* run the closure engine's ``steps`` is only block-granular
+*failed* run the closure engine's ``steps`` is only segment-granular
 (counts are folded on success only); no failed run ever builds an
 ``ExecResult``, and the fuzz oracle never compares step counts.
 """
@@ -160,42 +168,28 @@ class ClosureInterpreter(Interpreter):
         if entries is None:
             entries = self._entries[translated.name] = [0] * len(blocks)
         fuel = self.fuel
-        functions = self.program.functions
         bidx = 0
         while True:
             block = blocks[bidx]
             entries[bidx] += 1
-            for ops, n, call in block.segments:
-                steps = self.steps + n
+            ops = block.ops
+            if ops is None:
+                self._run_segments(translated, block, regs)
+            else:
+                steps = self.steps + block.n_steps
                 if steps > fuel:
                     self._fuel_out(ops, regs)
                 self.steps = steps
                 for op in ops:
                     op(regs, self)
-                if call is not None:
-                    result = self._call(
-                        functions[call.callee],
-                        [regs[i] for i in call.arg_slots],
-                    )
-                    dest = call.dest_slot
-                    if dest >= 0:
-                        if result is None:
-                            raise Trap(call.void_msg)
-                        regs[dest] = result
-            term_mode = block.term_mode
-            if term_mode == TERM_NONE:
-                raise Trap(
-                    f"fell off block {block.label} in {translated.name}"
-                )
-            if term_mode == TERM_CHECKED:
-                if self.steps >= fuel:
-                    self._fuel_out((), regs)
-                self.steps += 1
-            nxt = block.terminator(regs, self)
-            if type(nxt) is int:
-                bidx = nxt
+            branch = block.branch
+            if branch is not None:
+                bidx = branch(regs, self)
                 continue
-            return nxt[0]
+            bidx = block.target
+            if bidx < 0:
+                slot = block.ret_slot
+                return regs[slot] if slot >= 0 else None
 
     def _run_frame_profiled(self, translated: TranslatedFunction,
                             regs: list[int | float]):
@@ -205,44 +199,62 @@ class ClosureInterpreter(Interpreter):
             entries = self._entries[translated.name] = [0] * len(blocks)
         profile = self._edge_profiles.setdefault(translated.name, {})
         fuel = self.fuel
-        functions = self.program.functions
         bidx = 0
         while True:
             block = blocks[bidx]
             entries[bidx] += 1
-            for ops, n, call in block.segments:
-                steps = self.steps + n
+            ops = block.ops
+            if ops is None:
+                self._run_segments(translated, block, regs)
+            else:
+                steps = self.steps + block.n_steps
                 if steps > fuel:
                     self._fuel_out(ops, regs)
                 self.steps = steps
                 for op in ops:
                     op(regs, self)
-                if call is not None:
-                    result = self._call(
-                        functions[call.callee],
-                        [regs[i] for i in call.arg_slots],
-                    )
-                    dest = call.dest_slot
-                    if dest >= 0:
-                        if result is None:
-                            raise Trap(call.void_msg)
-                        regs[dest] = result
-            term_mode = block.term_mode
-            if term_mode == TERM_NONE:
-                raise Trap(
-                    f"fell off block {block.label} in {translated.name}"
+            branch = block.branch
+            if branch is not None:
+                nxt = branch(regs, self)
+            else:
+                nxt = block.target
+                if nxt < 0:
+                    slot = block.ret_slot
+                    return regs[slot] if slot >= 0 else None
+            key = (bidx, nxt)
+            profile[key] = profile.get(key, 0) + 1
+            bidx = nxt
+
+    def _run_segments(self, translated: TranslatedFunction, block,
+                      regs: list[int | float]) -> None:
+        """Run a block that calls, or that has no terminator, up to its
+        terminator: each segment's pre-check, its ops and its call, then
+        the terminator's own fuel step when a call precedes it."""
+        fuel = self.fuel
+        for ops, n, call in block.segments:
+            steps = self.steps + n
+            if steps > fuel:
+                self._fuel_out(ops, regs)
+            self.steps = steps
+            for op in ops:
+                op(regs, self)
+            if call is not None:
+                result = self._call(
+                    self.program.functions[call.callee],
+                    [regs[i] for i in call.arg_slots],
                 )
-            if term_mode == TERM_CHECKED:
-                if self.steps >= fuel:
-                    self._fuel_out((), regs)
-                self.steps += 1
-            nxt = block.terminator(regs, self)
-            if type(nxt) is int:
-                key = (bidx, nxt)
-                profile[key] = profile.get(key, 0) + 1
-                bidx = nxt
-                continue
-            return nxt[0]
+                dest = call.dest_slot
+                if dest >= 0:
+                    if result is None:
+                        raise Trap(call.void_msg)
+                    regs[dest] = result
+        term_mode = block.term_mode
+        if term_mode == TERM_NONE:
+            raise Trap(f"fell off block {block.label} in {translated.name}")
+        if term_mode == TERM_CHECKED:
+            if self.steps >= fuel:
+                self._fuel_out((), regs)
+            self.steps += 1
 
     def _fuel_out(self, ops, regs) -> None:
         """A segment pre-check tripped: replay the reference's tail.

@@ -33,12 +33,15 @@ class FuelExhausted(SimError):
 #: Allocation cap, to catch corrupted lengths early.
 MAX_ALLOC_ELEMENTS = 1 << 26
 
-_ELEM_MASK = {
+#: What an integer store keeps of ``int(value)``, by element type; a
+#: reference keeps every bit (``v & -1`` is ``v``).
+ELEM_MASK = {
     ScalarType.I8: 0xFF,
     ScalarType.I16: 0xFFFF,
     ScalarType.U16: 0xFFFF,
     ScalarType.I32: 0xFFFF_FFFF,
     ScalarType.I64: 0xFFFF_FFFF_FFFF_FFFF,
+    ScalarType.REF: -1,
 }
 
 
@@ -61,7 +64,8 @@ class Heap:
     """All arrays allocated during one execution."""
 
     def __init__(self) -> None:
-        self._arrays: list[ArrayObject] = []
+        #: every allocated array; reference ``r`` is ``arrays[r - 1]``
+        self.arrays: list[ArrayObject] = []
 
     def allocate(self, elem: ScalarType, length: int) -> int:
         """Allocate and return a non-zero reference (0 is null)."""
@@ -69,15 +73,15 @@ class Heap:
             raise Trap(f"NegativeArraySizeException: {length}")
         if length > MAX_ALLOC_ELEMENTS:
             raise Trap(f"OutOfMemoryError: array length {length}")
-        self._arrays.append(ArrayObject(elem, length))
-        return len(self._arrays)
+        self.arrays.append(ArrayObject(elem, length))
+        return len(self.arrays)
 
     def deref(self, ref: int) -> ArrayObject:
         if ref == 0:
             raise Trap("NullPointerException")
-        if not 1 <= ref <= len(self._arrays):
+        if not 1 <= ref <= len(self.arrays):
             raise MemoryFault(f"dangling array reference {ref}")
-        return self._arrays[ref - 1]
+        return self.arrays[ref - 1]
 
     def checked_index(self, array: ArrayObject, index_register: int) -> int:
         """Bounds-check with a 32-bit compare, then form the effective
@@ -99,10 +103,8 @@ class Heap:
     def store(self, array: ArrayObject, index: int, value: int | float) -> None:
         if array.elem is ScalarType.F64:
             array.cells[index] = float(value)
-        elif array.elem is ScalarType.REF:
-            array.cells[index] = int(value)
         else:
-            array.cells[index] = int(value) & _ELEM_MASK[array.elem]
+            array.cells[index] = int(value) & ELEM_MASK[array.elem]
 
     def load_raw(self, array: ArrayObject, index: int) -> int | float:
         return array.cells[index]

@@ -35,6 +35,19 @@ pre-check trips, :meth:`ClosureInterpreter._fuel_out` replays exactly
 the instructions the reference would still have executed (an earlier
 trap wins over fuel exhaustion) before raising ``FuelExhausted``.
 
+Terminators
+-----------
+
+A block ends in one of three ways, all decided here: a ``JMP`` is its
+successor's index (``TranslatedBlock.target``), a ``RET`` the slot it
+returns (``ret_slot``), and only a ``BR`` stays a closure that returns
+the successor's index.  A ``BR`` on the register that the ``CMP32`` or
+``CMP64`` right before it defines is fused with that compare into one
+closure, which compares, writes 0/1 to the compare's register and
+returns the successor.  A block without a ``CALL`` whose terminator
+rides its segment's pre-check keeps that segment as ``ops`` and
+``n_steps``, so the frame loop runs it without walking ``segments``.
+
 Translation is total over verified IR.  A function the translator
 cannot compile (it only meets such a function when the verifier was
 skipped) raises :class:`Untranslatable`, and the engine refuses to run
@@ -63,7 +76,7 @@ from .interpreter import (
     load_widening,
     sink_checksum,
 )
-from .memory import MemoryFault, Trap
+from .memory import ELEM_MASK, MemoryFault, Trap
 
 _U64 = 0xFFFF_FFFF_FFFF_FFFF
 _U32 = 0xFFFF_FFFF
@@ -71,9 +84,6 @@ _HIGH32 = 0x8000_0000
 _HIGH64 = 0x8000_0000_0000_0000
 #: OR-mask that completes a 32->64 sign extension of a masked low word.
 _FILL32 = 0xFFFF_FFFF_0000_0000
-
-#: Sentinel return value of a void ``ret`` terminator closure.
-_RET_VOID = (None,)
 
 
 class Untranslatable(Exception):
@@ -102,18 +112,31 @@ TERM_CHECKED = 2   # last segment ends in a CALL: terminator needs its
 
 
 class TranslatedBlock:
-    """One basic block compiled to closure segments."""
+    """One basic block compiled to closure segments and a terminator."""
 
-    __slots__ = ("label", "segments", "terminator", "term_mode",
-                 "op_counts", "ext_counts", "n_counted")
+    __slots__ = ("label", "ops", "n_steps", "segments", "branch", "target",
+                 "ret_slot", "term_mode", "op_counts", "ext_counts",
+                 "n_counted")
 
-    def __init__(self, label, segments, terminator, term_mode,
+    def __init__(self, label, segments, branch, target, ret_slot, term_mode,
                  op_counts, ext_counts, n_counted) -> None:
         self.label = label
         #: tuple of (ops, n_steps, CallSite | None); ``n_steps`` is the
-        #: fuel cost of the whole segment (ops + call or terminator).
+        #: fuel cost of the whole segment (ops + call or terminator, and
+        #: a compare fused into the terminator).
         self.segments = segments
-        self.terminator = terminator
+        #: the one segment of a block without calls whose terminator
+        #: rides its pre-check; None sends the frame loop to ``segments``
+        self.ops = None
+        self.n_steps = 0
+        if term_mode == TERM_INLINE and len(segments) == 1:
+            self.ops, self.n_steps, _ = segments[0]
+        #: BR: closure ``(regs, st) -> successor index``; else None
+        self.branch = branch
+        #: JMP: successor index; RET: -1
+        self.target = target
+        #: RET: slot of the returned value, -1 for a void return
+        self.ret_slot = ret_slot
         self.term_mode = term_mode
         #: static per-execution opcode mix: tuple[(Opcode, count)]
         self.op_counts = op_counts
@@ -305,39 +328,26 @@ def _mk_not64(dst, src):
     return op
 
 
-def _mk_cmp32(dst, a, b, cond):
-    cmp = COND_OPS[cond]
-    if cond.is_unsigned:
-        def op(regs, st):
-            regs[dst] = int(cmp(int(regs[a]) & _U32, int(regs[b]) & _U32))
-        return op
+def _int_compare(opcode, cond):
+    """``(relation, mask, flip)`` of a ``CMP32``/``CMP64``: the compare
+    holds when ``relation((a & mask) ^ flip, (b & mask) ^ flip)`` does.
 
+    Flipping the sign bit of a masked operand orders it as its signed
+    value does, so a signed compare needs no fix-up and the relation
+    stays ``COND_OPS[cond]``.  An unsigned ``CMP64`` reads the whole
+    int, as the reference does: ``v & -1`` is ``v``.
+    """
+    if opcode is Opcode.CMP32:
+        mask, sign = _U32, _HIGH32
+    else:
+        mask, sign = (-1, 0) if cond.is_unsigned else (_U64, _HIGH64)
+    return COND_OPS[cond], mask, 0 if cond.is_unsigned else sign
+
+
+def _mk_cmp(dst, a, b, relation, mask, flip):
     def op(regs, st):
-        va = int(regs[a]) & _U32
-        vb = int(regs[b]) & _U32
-        if va & _HIGH32:
-            va -= 0x1_0000_0000
-        if vb & _HIGH32:
-            vb -= 0x1_0000_0000
-        regs[dst] = int(cmp(va, vb))
-    return op
-
-
-def _mk_cmp64(dst, a, b, cond):
-    cmp = COND_OPS[cond]
-    if cond.is_unsigned:
-        def op(regs, st):
-            regs[dst] = int(cmp(int(regs[a]), int(regs[b])))
-        return op
-
-    def op(regs, st):
-        va = int(regs[a])
-        vb = int(regs[b])
-        if va & _HIGH64:
-            va -= 0x1_0000_0000_0000_0000
-        if vb & _HIGH64:
-            vb -= 0x1_0000_0000_0000_0000
-        regs[dst] = int(cmp(va, vb))
+        regs[dst] = 1 if relation((int(regs[a]) & mask) ^ flip,
+                                  (int(regs[b]) & mask) ^ flip) else 0
     return op
 
 
@@ -391,54 +401,102 @@ def _mk_newarray(dst, src, elem):
     return op
 
 
+# An array access indexes ``Heap.arrays`` and the cells directly when
+# the reference is positive and the index is not negative; a list's
+# IndexError then means the reference is dangling or the index past the
+# end.  Every refused access takes the reference's path, ``Heap.deref``
+# then ``Heap.checked_index``, so traps, faults and messages are its.
+
+def _checked(heap, ref, index_register):
+    """The reference's checked access: ``(array, element index)``."""
+    array = heap.deref(ref)
+    return array, heap.checked_index(array, int(index_register))
+
+
 def _mk_aload(dst, aref, aidx, kind, bits):
     if kind == "float":
         def op(regs, st):
-            heap = st.heap
-            array = heap.deref(int(regs[aref]))
-            index = heap.checked_index(array, int(regs[aidx]))
+            ref = int(regs[aref])
+            if ref > 0:
+                try:
+                    cells = st.heap.arrays[ref - 1].cells
+                    index = int(regs[aidx])
+                    if index >= 0:
+                        regs[dst] = float(cells[index])
+                        return
+                except IndexError:
+                    pass
+            array, index = _checked(st.heap, ref, regs[aidx])
             regs[dst] = float(array.cells[index])
         return op
-    if kind == "wide":
-        def op(regs, st):
-            heap = st.heap
-            array = heap.deref(int(regs[aref]))
-            index = heap.checked_index(array, int(regs[aidx]))
-            regs[dst] = int(array.cells[index]) & _U64
-        return op
+    # "wide" keeps all 64 bits and "zero" the low ``bits``; neither has
+    # a sign to fill, which ``high = 0`` says.
     mask = (1 << bits) - 1
-    if kind == "sign":
-        high = 1 << (bits - 1)
-        fill = _U64 ^ mask
-
-        def op(regs, st):
-            heap = st.heap
-            array = heap.deref(int(regs[aref]))
-            index = heap.checked_index(array, int(regs[aidx]))
-            v = int(array.cells[index]) & mask
-            regs[dst] = (v | fill) if v & high else v
-        return op
+    high = 1 << (bits - 1) if kind == "sign" else 0
+    fill = _U64 ^ mask
 
     def op(regs, st):
-        heap = st.heap
-        array = heap.deref(int(regs[aref]))
-        index = heap.checked_index(array, int(regs[aidx]))
-        regs[dst] = int(array.cells[index]) & mask
+        ref = int(regs[aref])
+        if ref > 0:
+            try:
+                cells = st.heap.arrays[ref - 1].cells
+                index = int(regs[aidx])
+                if index >= 0:
+                    v = int(cells[index]) & mask
+                    regs[dst] = (v | fill) if v & high else v
+                    return
+            except IndexError:
+                pass
+        array, index = _checked(st.heap, ref, regs[aidx])
+        v = int(array.cells[index]) & mask
+        regs[dst] = (v | fill) if v & high else v
     return op
 
 
-def _mk_astore(aref, aidx, val):
+def _mk_astore(aref, aidx, val, elem):
+    # The inline store converts as ``Heap.store`` does for ``elem``, and
+    # checks the index first, as the reference does; an array of another
+    # element type takes ``Heap.store`` itself.
+    if elem is ScalarType.F64:
+        def op(regs, st):
+            ref = int(regs[aref])
+            if ref > 0:
+                try:
+                    array = st.heap.arrays[ref - 1]
+                    index = int(regs[aidx])
+                    cells = array.cells
+                    if 0 <= index < len(cells) and array.elem is elem:
+                        cells[index] = float(regs[val])
+                        return
+                except IndexError:
+                    pass
+            heap = st.heap
+            array, index = _checked(heap, ref, regs[aidx])
+            heap.store(array, index, regs[val])
+        return op
+    mask = ELEM_MASK[elem]
+
     def op(regs, st):
+        ref = int(regs[aref])
+        if ref > 0:
+            try:
+                array = st.heap.arrays[ref - 1]
+                index = int(regs[aidx])
+                cells = array.cells
+                if 0 <= index < len(cells) and array.elem is elem:
+                    cells[index] = int(regs[val]) & mask
+                    return
+            except IndexError:
+                pass
         heap = st.heap
-        array = heap.deref(int(regs[aref]))
-        index = heap.checked_index(array, int(regs[aidx]))
+        array, index = _checked(heap, ref, regs[aidx])
         heap.store(array, index, regs[val])
     return op
 
 
 def _mk_arraylen(dst, src):
     def op(regs, st):
-        regs[dst] = st.heap.deref(int(regs[src])).length
+        regs[dst] = len(st.heap.deref(int(regs[src])).cells)
     return op
 
 
@@ -492,11 +550,12 @@ def _mk_nop():
     return op
 
 
-# -- terminator factories -----------------------------------------------------
+# -- branch factories ---------------------------------------------------------
 #
-# A terminator closure returns the next block *index* (int) for BR/JMP
-# or a 1-tuple holding the return value for RET; the frame loop
-# discriminates on ``type(x) is int``.
+# A ``BR`` is the one terminator left as a closure: it returns the index
+# of the successor block.  ``JMP`` and ``RET`` are resolved to a block
+# index and a slot at translation (``TranslatedBlock.target`` and
+# ``ret_slot``).
 
 def _mk_br(cond_slot, then_idx, else_idx):
     def term(regs, st):
@@ -504,20 +563,16 @@ def _mk_br(cond_slot, then_idx, else_idx):
     return term
 
 
-def _mk_jmp(target_idx):
+def _mk_cmp_br(dst, a, b, relation, mask, flip, then_idx, else_idx):
+    """A ``CMP32``/``CMP64`` and the ``BR`` on its register, fused: the
+    compare still writes its 0/1, which a later block may read."""
     def term(regs, st):
-        return target_idx
-    return term
-
-
-def _mk_ret(src):
-    if src is None:
-        def term(regs, st):
-            return _RET_VOID
-        return term
-
-    def term(regs, st):
-        return (regs[src],)
+        if relation((int(regs[a]) & mask) ^ flip,
+                    (int(regs[b]) & mask) ^ flip):
+            regs[dst] = 1
+            return then_idx
+        regs[dst] = 0
+        return else_idx
     return term
 
 
@@ -560,10 +615,12 @@ class _Translator:
     def _translate_block(self, block, labels) -> TranslatedBlock:
         cut = block.executed()
         term_instr = cut.pop() if cut and cut[-1].is_terminator else None
+        fused = self._fused_compare(cut, term_instr)
+        body = cut[:-1] if fused is not None else cut
 
         segments = []
         ops: list = []
-        for instr in cut:
+        for instr in body:
             if instr.opcode is Opcode.CALL:
                 segments.append((tuple(ops), len(ops) + 1,
                                  self._call_site(instr)))
@@ -571,17 +628,21 @@ class _Translator:
             else:
                 ops.append(self._translate_op(instr))
 
-        terminator = None
+        branch, target, ret_slot = None, -1, -1
         if term_instr is not None:
             # The terminator's fuel step rides on the final segment's
             # pre-check unless a CALL immediately precedes it — then the
             # callee burns unknown fuel and the step needs its own check.
-            if ops or not segments:
-                segments.append((tuple(ops), len(ops) + 1, None))
+            # A fused compare is charged with its branch; it cannot trap,
+            # so the fuel-out replay may skip it.
+            n_term = 2 if fused is not None else 1
+            if ops or fused is not None or not segments:
+                segments.append((tuple(ops), len(ops) + n_term, None))
                 term_mode = TERM_INLINE
             else:
                 term_mode = TERM_CHECKED
-            terminator = self._translate_term(term_instr, labels)
+            branch, target, ret_slot = self._translate_term(
+                term_instr, fused, labels)
         else:
             if ops:
                 segments.append((tuple(ops), len(ops), None))
@@ -595,12 +656,28 @@ class _Translator:
         return TranslatedBlock(
             label=block.label,
             segments=tuple(segments),
-            terminator=terminator,
+            branch=branch,
+            target=target,
+            ret_slot=ret_slot,
             term_mode=term_mode,
             op_counts=op_counts,
             ext_counts=ext_counts,
             n_counted=len(counted),
         )
+
+    @staticmethod
+    def _fused_compare(cut, term_instr) -> Instr | None:
+        """The ``CMP32``/``CMP64`` right before a ``BR`` on its register,
+        which the branch takes over; None when there is none."""
+        if term_instr is None or term_instr.opcode is not Opcode.BR \
+                or not cut or not term_instr.srcs:
+            return None
+        last = cut[-1]
+        if (last.opcode is Opcode.CMP32 or last.opcode is Opcode.CMP64) \
+                and last.dest is not None \
+                and last.dest.name == term_instr.srcs[0].name:
+            return last
+        return None
 
     def _call_site(self, instr: Instr) -> CallSite:
         if instr.callee is None:
@@ -613,22 +690,30 @@ class _Translator:
                             f"void call assigned: {instr}")
         return CallSite(instr.callee, arg_slots, -1, None)
 
-    def _translate_term(self, instr: Instr, labels):
+    def _translate_term(self, instr: Instr, fused: Instr | None, labels):
+        """``(branch, target, ret_slot)`` of a terminator, as
+        :class:`TranslatedBlock` holds them."""
         opcode = instr.opcode
+        if opcode is Opcode.RET:
+            if instr.srcs:
+                return None, -1, self.slot(instr.srcs[0].name)
+            return None, -1, -1
         try:
-            if opcode is Opcode.BR:
-                return _mk_br(self.slot(instr.srcs[0].name),
-                              labels[instr.targets[0]],
-                              labels[instr.targets[1]])
             if opcode is Opcode.JMP:
-                return _mk_jmp(labels[instr.targets[0]])
+                return None, labels[instr.targets[0]], -1
+            then_idx = labels[instr.targets[0]]
+            else_idx = labels[instr.targets[1]]
+            cond_slot = self.slot(instr.srcs[0].name)
         except (KeyError, IndexError) as exc:
             raise Untranslatable(
                 f"{self.func.name}: bad branch target in {instr}") from exc
-        # RET
-        if instr.srcs:
-            return _mk_ret(self.slot(instr.srcs[0].name))
-        return _mk_ret(None)
+        if fused is None:
+            return _mk_br(cond_slot, then_idx, else_idx), -1, -1
+        return _mk_cmp_br(
+            cond_slot, self.slot(fused.srcs[0].name),
+            self.slot(fused.srcs[1].name),
+            *_int_compare(fused.opcode, fused.cond), then_idx, else_idx,
+        ), -1, -1
 
     def _translate_op(self, instr: Instr):
         opcode = instr.opcode
@@ -679,12 +764,9 @@ class _Translator:
         if opcode is Opcode.NOT64:
             return _mk_not64(dst, self.slot(s[0].name))
 
-        if opcode is Opcode.CMP32:
-            return _mk_cmp32(dst, self.slot(s[0].name), self.slot(s[1].name),
-                             instr.cond)
-        if opcode is Opcode.CMP64:
-            return _mk_cmp64(dst, self.slot(s[0].name), self.slot(s[1].name),
-                             instr.cond)
+        if opcode is Opcode.CMP32 or opcode is Opcode.CMP64:
+            return _mk_cmp(dst, self.slot(s[0].name), self.slot(s[1].name),
+                           *_int_compare(opcode, instr.cond))
         if opcode is Opcode.CMPF:
             return _mk_cmpf(dst, self.slot(s[0].name), self.slot(s[1].name),
                             instr.cond)
@@ -712,7 +794,7 @@ class _Translator:
                              kind, bits)
         if opcode is Opcode.ASTORE:
             return _mk_astore(self.slot(s[0].name), self.slot(s[1].name),
-                              self.slot(s[2].name))
+                              self.slot(s[2].name), instr.elem)
         if opcode is Opcode.ARRAYLEN:
             return _mk_arraylen(dst, self.slot(s[0].name))
 

@@ -18,8 +18,9 @@ written by hand in tests, or shipped as golden files:
     }
 
 Registers are typed at first mention from context (destination types
-come from the opcode table; operand registers must have been defined or
-declared as parameters).
+come from the opcode table, a copy's from its source and a call's from
+the callee's declared return type; operand registers must have been
+defined or declared as parameters).
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ class IRParseError(Exception):
 def parse_program(text: str) -> Program:
     program = Program()
     lines = [_strip(line) for line in text.splitlines()]
+    # Every function's return type, read before any body: a call may be
+    # printed before its callee.
+    returns = {
+        match.group("name"): _return_type(match.group("ret"))
+        for match in map(_FUNC_RE.match, lines) if match
+    }
     index = 0
     while index < len(lines):
         line = lines[index]
@@ -75,7 +82,8 @@ def parse_program(text: str) -> Program:
             continue
         match = _FUNC_RE.match(line)
         if match:
-            index = _parse_function(program, match, lines, index + 1)
+            index = _parse_function(program, match, lines, index + 1,
+                                    returns)
             continue
         raise IRParseError(f"unexpected line: {line!r}")
     return program
@@ -96,6 +104,10 @@ def _scalar(name: str) -> ScalarType:
         raise IRParseError(f"unknown type {name!r}") from None
 
 
+def _return_type(text: str) -> ScalarType | None:
+    return None if text == "void" else _scalar(text)
+
+
 def _parse_number(token: str) -> int | float:
     try:
         return int(token, 0)
@@ -104,10 +116,10 @@ def _parse_number(token: str) -> int | float:
 
 
 def _parse_function(program: Program, match: re.Match, lines: list[str],
-                    index: int) -> int:
+                    index: int,
+                    returns: dict[str, ScalarType | None]) -> int:
     name = match.group("name")
-    ret_text = match.group("ret")
-    ret = None if ret_text == "void" else _scalar(ret_text)
+    ret = _return_type(match.group("ret"))
     arg_types = [
         _scalar(tok.strip()) for tok in match.group("args").split(",")
         if tok.strip()
@@ -142,7 +154,7 @@ def _parse_function(program: Program, match: re.Match, lines: list[str],
             continue
         if current is None:
             raise IRParseError(f"{name}: instruction before any label")
-        current.append(_parse_instr(func, regs, line))
+        current.append(_parse_instr(func, regs, line, returns))
     raise IRParseError(f"{name}: missing closing brace")
 
 
@@ -162,7 +174,8 @@ def _dest_type(opcode: Opcode, elem: ScalarType | None) -> ScalarType:
     return ScalarType.I32  # MOV/CALL destinations refined by context
 
 
-def _parse_instr(func: Function, regs: dict[str, VReg], line: str) -> Instr:
+def _parse_instr(func: Function, regs: dict[str, VReg], line: str,
+                 returns: dict[str, ScalarType | None]) -> Instr:
     dest_name: str | None = None
     if line.startswith("%") and "=" in line:
         dest_token, line = line.split("=", 1)
@@ -214,6 +227,8 @@ def _parse_instr(func: Function, regs: dict[str, VReg], line: str) -> Instr:
         else:
             if opcode is Opcode.MOV and srcs:
                 dest_type = srcs[0].type  # copies inherit the source type
+            elif opcode is Opcode.CALL and returns.get(callee) is not None:
+                dest_type = returns[callee].register_type
             else:
                 dest_type = _dest_type(opcode, elem)
             dest = func.named_reg(dest_name, dest_type)

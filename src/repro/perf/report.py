@@ -278,7 +278,10 @@ def _run_label(records: list[RunRecord]) -> str:
             return record.git_rev[:7]
     created = min((r.created for r in records if r.created), default=0)
     if created:
-        return time.strftime("%m-%d %H:%M", time.localtime(created))
+        try:
+            return time.strftime("%m-%d %H:%M", time.localtime(created))
+        except (OverflowError, OSError):  # past the platform's time_t
+            pass
     return "run"
 
 

@@ -111,19 +111,26 @@ class HistoryStore:
     def records(self) -> list[RunRecord]:
         return load_jsonl(self.path)
 
+    def _runs(self) -> dict[str, list[RunRecord]]:
+        """Records by run id, runs oldest first (by first appearance),
+        from one read of the history."""
+        runs: dict[str, list[RunRecord]] = {}
+        for record in self.records():
+            if record.run_id:
+                runs.setdefault(record.run_id, []).append(record)
+        return runs
+
     def run_ids(self) -> list[str]:
         """Distinct run ids, oldest first (by first appearance)."""
-        return list(dict.fromkeys(r.run_id for r in self.records()
-                                  if r.run_id))
+        return list(self._runs())
 
     def records_for_run(self, run_id: str) -> list[RunRecord]:
         return [r for r in self.records() if r.run_id == run_id]
 
     def latest_runs(self, count: int = 2) -> list[list[RunRecord]]:
         """The newest ``count`` record batches, newest first."""
-        ids = self.run_ids()
-        return [self.records_for_run(run_id)
-                for run_id in reversed(ids[-count:] if count else ids)]
+        newest_first = list(self._runs().values())[::-1]
+        return newest_first[:count] if count else newest_first
 
     def __len__(self) -> int:
         return len(self._known_ids())

@@ -21,6 +21,7 @@ from repro.frontend import compile_source
 from repro.interp import create_interpreter, execute
 from repro.interp.memory import SimError
 from repro.interp.profiler import collect_branch_profiles
+from repro.interp.translate import translate_function
 from repro.ir import Cond, Instr, Opcode, Program, ScalarType, build_function
 from repro.ir.verifier import verify_program
 from repro.machine import IA64, PPC64
@@ -512,7 +513,12 @@ OPCODE_CASES = {
 
 def opcode_programs(opcode):
     """One verified program per operand tuple of ``opcode``'s case."""
-    emit, operands = OPCODE_CASES[opcode]
+    return case_programs(*OPCODE_CASES[opcode])
+
+
+def case_programs(emit, operands):
+    """One verified program per operand tuple, each ``emit``ted into a
+    void ``main``."""
     for values in operands:
         program = Program()
         b = build_function(program, "main", [], None)
@@ -520,6 +526,13 @@ def opcode_programs(opcode):
         b.ret()
         verify_program(program)
         yield program
+
+
+def assert_parity_everywhere(program, **kwargs):
+    """Parity in both modes on both machines."""
+    for mode in ("ideal", "machine"):
+        for traits in (IA64, PPC64):
+            assert_parity(program, mode=mode, traits=traits, **kwargs)
 
 
 class TestOpcodeParity:
@@ -548,3 +561,205 @@ class TestOpcodeParity:
         for engine in ("reference", "closure"):
             result = create_interpreter(program, engine=engine).run()
             assert result.ret_value == 0xFFFF_FFFF_8000_0000
+
+
+# -- the closure engine's fused and inline paths ---------------------------
+#
+# The closure engine fuses a CMP32/CMP64 with the BR on its register and
+# checks array accesses inline (docs/INTERPRETER.md).  The per-opcode
+# table above never branches on a compare and never reaches an array
+# through a null or dangling reference while another array exists, so
+# these cases reach those paths.
+
+def _compare_branch(opcode, load):
+    """``%c = cmp x, y; br %c``, both successors sinking ``%c``."""
+    def emit(b, cond, x, y):
+        flag = b.cmp(opcode, cond, load(b, x), load(b, y))
+        then, other, join = b.block("then"), b.block("else"), b.block("join")
+        b.br(flag, then, other)
+        for block, mark in ((then, 1), (other, 2)):
+            b.switch(block)
+            b.sink(flag)
+            b.sink(b.const(mark))
+            b.jmp(join)
+        b.switch(join)
+    return emit
+
+
+def _raw_reference_access(opcode):
+    """Allocate one array, then access element 0 through the raw
+    reference ``ref``."""
+    def emit(b, ref):
+        b.newarray(I32, b.const(2))
+        array = b.const(ref, REF)
+        if opcode is Opcode.ALOAD:
+            b.sink(b.aload(array, b.const(0), I32))
+        else:
+            b.astore(array, b.const(0), b.const(7), I32)
+    return emit
+
+
+#: Null, the one allocated array, just past the heap, and references
+#: whose list index would wrap or overflow.
+RAW_REFERENCES = ((0,), (1,), (2,), (2**63,), (-1,))
+
+
+def _fused_blocks(program):
+    """Labels of the blocks whose branch took over the compare before
+    it: their one segment charges two steps past its ops."""
+    return {
+        block.label
+        for func in program.functions.values()
+        for block in translate_function(func, ideal=False, traits=IA64).blocks
+        if block.ops is not None and block.branch is not None
+        and block.n_steps == len(block.ops) + 2
+    }
+
+
+class TestFusedCompareBranch:
+    @pytest.mark.parametrize("opcode, load", [
+        (Opcode.CMP32, _narrow), (Opcode.CMP64, _wide),
+    ], ids=["cmp32", "cmp64"])
+    def test_every_condition_and_edge_pair(self, opcode, load):
+        for program in case_programs(_compare_branch(opcode, load),
+                                     _COND_PAIRS):
+            assert_parity_everywhere(program)
+
+    def test_the_table_fuses(self):
+        program = next(case_programs(_compare_branch(Opcode.CMP32, _narrow),
+                                     _COND_PAIRS))
+        assert len(_fused_blocks(program)) == 1
+
+    LOOP = """
+        int main() {
+            int acc = 0;
+            int i = 0;
+            while (i < 6) { acc = acc + i * 3; i = i + 1; }
+            return acc;
+        }
+    """
+
+    def test_loop_header_is_fused(self):
+        program = compile_source(self.LOOP)
+        assert _fused_blocks(program)
+
+    @pytest.mark.parametrize("mode", ["ideal", "machine"])
+    def test_fuel_sweep_over_a_fused_loop_header(self, mode):
+        program = compile_source(self.LOOP)
+        steps = create_interpreter(program, engine="reference",
+                                   mode=mode).run().steps
+        for fuel in range(steps + 2):
+            assert_parity(program, mode=mode, fuel=fuel)
+
+    def _branch_on(self, build):
+        """``main`` sinks which way ``build``'s branch went; ``build``
+        emits up to the branch and returns its condition."""
+        program = Program()
+        callee = build_function(program, "nine", [], I32)
+        callee.ret(callee.const(9))
+        b = build_function(program, "main", [], None)
+        flag = build(b)
+        then, other, join = b.block("then"), b.block("else"), b.block("join")
+        b.br(flag, then, other)
+        for block, mark in ((then, 1), (other, 2)):
+            b.switch(block)
+            b.sink(flag)
+            b.sink(b.const(mark))
+            b.jmp(join)
+        b.switch(join)
+        b.ret()
+        verify_program(program)
+        return program
+
+    def test_compare_behind_a_call_is_not_fused(self):
+        """The call redefines an operand between the compare and the
+        branch, so a compare moved past it would branch the other way."""
+        def build(b):
+            x, y = b.const(1), b.const(2)
+            flag = b.cmp(Opcode.CMP32, Cond.LT, x, y)
+            b.emit(Instr(Opcode.CALL, x, (), callee="nine"))
+            return flag
+
+        program = self._branch_on(build)
+        assert not _fused_blocks(program)
+        assert_parity_everywhere(program)
+        steps = create_interpreter(program, engine="reference").run().steps
+        for fuel in range(steps + 2):
+            assert_parity(program, fuel=fuel)
+
+    def test_compare_in_another_block_is_not_fused(self):
+        """The compare's block redefines an operand after it and jumps
+        to the branch's block."""
+        def build(b):
+            x, y = b.const(1), b.const(2)
+            flag = b.cmp(Opcode.CMP64, Cond.LT, x, y)
+            b.const(9, dest=x)
+            test = b.block("test")
+            b.jmp(test)
+            b.switch(test)
+            return flag
+
+        program = self._branch_on(build)
+        assert not _fused_blocks(program)
+        assert_parity_everywhere(program)
+
+
+class TestInlineArrayChecks:
+    @pytest.mark.parametrize("opcode", [Opcode.ALOAD, Opcode.ASTORE],
+                             ids=lambda op: op.value)
+    def test_raw_references_beside_an_allocated_array(self, opcode):
+        kinds = set()
+        for program in case_programs(_raw_reference_access(opcode),
+                                     RAW_REFERENCES):
+            assert_parity_everywhere(program)
+            kinds.add(_outcome(program, "reference")[0])
+        assert kinds == {"ok", "Trap", "MemoryFault"}
+
+    @pytest.mark.parametrize("opcode", [Opcode.ALOAD, Opcode.ASTORE],
+                             ids=lambda op: op.value)
+    def test_indices_around_the_end(self, opcode):
+        """Index 1 is the last element of two, 2 is one past it, and
+        ``2**32 + 1`` passes the 32-bit bounds check but not the
+        effective address."""
+        def emit(b, index):
+            array = b.newarray(I32, b.const(2))
+            at = _wide(b, index)
+            if opcode is Opcode.ALOAD:
+                b.sink(b.aload(array, at, I32))
+            else:
+                b.astore(array, at, b.const(7), I32)
+                b.sink(b.aload(array, b.const(1), I32))
+
+        kinds = set()
+        for program in case_programs(emit, ((1,), (2,), (2**32 + 1,))):
+            assert_parity_everywhere(program)
+            kinds.add(_outcome(program, "reference", mode="machine")[0])
+        assert kinds == {"ok", "Trap", "MemoryFault"}
+
+    @pytest.mark.parametrize("opcode", [Opcode.ALOAD, Opcode.ASTORE],
+                             ids=lambda op: op.value)
+    def test_negative_index_from_a_float_register(self, opcode):
+        """The verifier does not type an index, and ``int(-1.0)`` is the
+        one way a register reads as a negative index, which a list would
+        take from its end."""
+        def emit(b, index):
+            array = b.newarray(I32, b.const(2))
+            at = _float(b, index)
+            if opcode is Opcode.ALOAD:
+                b.sink(b.aload(array, at, I32))
+            else:
+                b.astore(array, at, b.const(7), I32)
+
+        for program in case_programs(emit, ((-1.0,), (-2.5,), (1.0,))):
+            assert_parity_everywhere(program)
+
+    def test_store_into_an_array_of_another_element_type(self):
+        """An ``astore.i8`` into an ``i32`` array stores as the array's
+        element type, as ``Heap.store`` does."""
+        def emit(b, value):
+            array = b.newarray(I32, b.const(2))
+            b.astore(array, b.const(0), _narrow(b, value), I8)
+            b.sink(b.aload(array, b.const(0), I32))
+
+        for program in case_programs(emit, _ONE_INT):
+            assert_parity_everywhere(program)

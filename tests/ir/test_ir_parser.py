@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.ir import format_program, verify_program
+from repro.ir import (
+    Program,
+    ScalarType,
+    build_function,
+    format_program,
+    verify_program,
+)
 from repro.ir.parser import IRParseError, parse_program
 from tests.conftest import make_fig7_program, run_ideal
 
@@ -103,6 +109,34 @@ class TestHandWritten:
             }
         """)
         assert run_ideal(program).ret_value == 9
+
+
+class TestCallResultTypes:
+    """A call's destination takes the callee's declared return type,
+    also when the callee is printed after its caller."""
+
+    @pytest.mark.parametrize("ret_type, value", [
+        (ScalarType.I64, 2**40 + 3),
+        (ScalarType.F64, 2.5),
+    ], ids=["i64", "f64"])
+    def test_round_trip(self, ret_type, value):
+        program = Program()
+        caller = build_function(program, "main", [], ret_type)
+        result = caller.call("callee", [], ret_type)
+        caller.sink(result)
+        caller.ret(result)
+        callee = build_function(program, "callee", [], ret_type)
+        callee.ret(callee.const(value, ret_type))
+        text = format_program(program)
+        assert text.index("@main") < text.index("func @callee")
+
+        reparsed = parse_program(text)
+        verify_program(reparsed)
+        call = reparsed.function("main").entry.instrs[0]
+        assert call.dest.type is ret_type
+        assert format_program(reparsed) == text
+        assert run_ideal(reparsed).observable() == \
+            run_ideal(program).observable()
 
 
 class TestErrors:

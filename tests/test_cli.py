@@ -277,6 +277,29 @@ class TestPerf:
                      "--against", str(baseline),
                      "--fail-on-regression", "10%"]) == 1
 
+    def test_compare_reads_the_history_once(self, tmp_path, capsys,
+                                            monkeypatch):
+        from repro.perf import store
+
+        lines = (ROOT / "perf" / "baseline.jsonl").read_text() \
+            .splitlines()[:2]
+        history = tmp_path / "ph"
+        history.mkdir()
+        (history / "history.jsonl").write_text("".join(
+            json.dumps({**json.loads(line), "run_id": run_id}) + "\n"
+            for run_id in ("run-1", "run-2", "run-3") for line in lines))
+        loads = []
+        load_jsonl = store.load_jsonl
+
+        def counting_load(path):
+            loads.append(path)
+            return load_jsonl(path)
+
+        monkeypatch.setattr(store, "load_jsonl", counting_load)
+        assert main(["perf", "compare", "--history", str(history)]) == 0
+        assert "previous recorded run" in capsys.readouterr().out
+        assert len(loads) == 1
+
     def test_report_writes_self_contained_html(self, tmp_path, capsys):
         history = tmp_path / "ph"
         self._record(history, capsys)
@@ -312,7 +335,7 @@ class TestProfile:
                      "--dir", str(out_dir)]) == 0
         artifacts = list(out_dir.iterdir())
         assert len(artifacts) == 1
-        validate_artifact_file(artifacts[0])
+        assert validate_artifact_file(artifacts[0]) == []
         assert len(load_profiles(out_dir)) == 1
 
     def test_profile_renderer_outputs(self, source_file, tmp_path,
@@ -387,6 +410,20 @@ class TestMalformedSavedDocuments:
         assert main(["perf", "compare", "--history", str(history)]) == 0
         out = capsys.readouterr().out
         assert "1 neutral, 1 new" in out
+
+    def test_perf_report_labels_an_unrepresentable_timestamp(self, tmp_path,
+                                                             capsys):
+        """A ``created`` the decoder accepts but ``time.localtime``
+        cannot represent falls back to the plain run label."""
+        line = (ROOT / "perf" / "baseline.jsonl").read_text().splitlines()[0]
+        baseline = tmp_path / "baseline.jsonl"
+        baseline.write_text(json.dumps(
+            {**json.loads(line), "created": 1e300, "git_rev": ""}) + "\n")
+        out_file = tmp_path / "dash.html"
+        assert main(["perf", "report", "--baseline", str(baseline),
+                     "--history", str(tmp_path / "ph"),
+                     "--out", str(out_file)]) == 0
+        assert out_file.exists()
 
     def test_perf_report_skips_an_artifact_with_a_bad_edge(self, tmp_path,
                                                            capsys):
